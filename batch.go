@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"time"
 
-	"light/internal/arena"
-	"light/internal/engine"
 	"light/internal/graph"
 	"light/internal/lanes"
-	"light/internal/metrics"
 )
 
 // BatchQuery is one member of a CountBatch: a pattern plus optional
@@ -30,9 +27,9 @@ type BatchQuery struct {
 	Roots []VertexID
 	// MinDegree, when positive, restricts this query to matches using
 	// only data vertices of at least this degree — the degree-profile
-	// analytics knob. Equivalent to a sequential run whose Filter
-	// rejects lower-degree vertices, but evaluated bit-parallel across
-	// the whole lane word in one ladder lookup.
+	// analytics knob. Equivalent to a solo Count whose Filter rejects
+	// lower-degree vertices, but evaluated bit-parallel across the
+	// whole lane word in one ladder lookup.
 	MinDegree int
 	// Filter, when non-nil, must approve every (pattern vertex, data
 	// vertex) assignment for this query; same contract as
@@ -44,9 +41,9 @@ type BatchQuery struct {
 type BatchResult struct {
 	// Queries holds one Result per input query, in order. Counters
 	// (Matches, Nodes, Intersections, and each Report's engine
-	// counters) are exactly what a sequential run of that query alone
-	// would report; Duration and CandidateMemoryBytes describe the
-	// shared batch run and repeat on every entry.
+	// counters) are exactly what a solo run of that query would
+	// report; Duration and CandidateMemoryBytes describe the shared
+	// batch run and repeat on every entry.
 	Queries []Result
 	// Groups is how many shared traversals (lane groups) the batch
 	// compiled into — batches of one pattern family run in a single
@@ -80,170 +77,27 @@ func CountBatch(g *Graph, queries []BatchQuery, opts Options) (BatchResult, erro
 // the batch at its next poll and returns partial, non-attributable
 // results with the context's error.
 func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts Options) (BatchResult, error) {
-	var bres BatchResult
-	if err := opts.validate(); err != nil {
-		return bres, err
-	}
 	switch {
 	case opts.Filter != nil:
-		return bres, errors.New("light: CountBatch does not take Options.Filter; set per-query BatchQuery.Filter instead")
+		return BatchResult{}, errors.New("light: CountBatch does not take Options.Filter; set per-query BatchQuery.Filter instead")
 	case opts.TailCount:
-		return bres, errors.New("light: CountBatch does not support TailCount (lane batches always run the leaf loop)")
+		return BatchResult{}, errors.New("light: CountBatch does not support TailCount (lane batches always run the leaf loop)")
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
-		return bres, errors.New("light: CountBatch does not support checkpointing")
+		return BatchResult{}, errors.New("light: CountBatch does not support checkpointing")
 	}
-	if len(queries) == 0 {
-		return bres, nil
-	}
-	st, err := g.resolveState(opts.Snapshot)
-	if err != nil {
-		return bres, err
-	}
-
-	// Compile one plan per query; identical patterns compile to
-	// identical plans and group automatically by compatibility key.
-	lq := make([]lanes.Query, len(queries))
-	recs := make([]*metrics.Recorder, len(queries))
-	maxPatternVerts := 0
-	for i, q := range queries {
-		if q.Pattern == nil {
-			return bres, fmt.Errorf("light: batch query %d has no pattern", i)
+	// One member per query; identical patterns compile to identical
+	// plans and group automatically by compatibility key.
+	q := query{members: make([]member, len(queries)), batch: true}
+	for i, bq := range queries {
+		if bq.Pattern == nil {
+			return BatchResult{}, fmt.Errorf("light: batch query %d has no pattern", i)
 		}
-		pl, err := preparePlan(st, q.Pattern, opts)
-		if err != nil {
-			return bres, fmt.Errorf("light: batch query %d (%s): %w", i, q.Pattern.Name(), err)
+		m := unlabeled(bq.Pattern)
+		m.spec = lanes.Spec{MinDegree: bq.MinDegree, Filter: bq.Filter}
+		if bq.Roots != nil {
+			m.spec.Roots = append(make([]graph.VertexID, 0, len(bq.Roots)), bq.Roots...)
 		}
-		if n := q.Pattern.NumVertices(); n > maxPatternVerts {
-			maxPatternVerts = n
-		}
-		spec := lanes.Spec{MinDegree: q.MinDegree}
-		if q.Roots != nil {
-			roots := make([]graph.VertexID, len(q.Roots))
-			copy(roots, q.Roots)
-			spec.Roots = roots
-		}
-		if q.Filter != nil {
-			spec.Filter = q.Filter
-		}
-		lq[i] = lanes.Query{Plan: pl, Spec: spec}
-		recs[i] = metrics.NewRecorder()
+		q.members[i] = m
 	}
-	if opts.HubDegreeThreshold > 0 {
-		// Same first-wins preparation as single-query runs: one build,
-		// shared by every concurrent query on this graph.
-		st.base.EnsureHubIndex(opts.HubDegreeThreshold)
-	}
-
-	batchRec := metrics.NewRecorder()
-	lopts := lanes.Options{
-		Engine: engine.Options{
-			Kernel:    opts.Intersection.kind(),
-			TimeLimit: opts.TimeLimit,
-			Metrics:   batchRec,
-			Overlay:   st.ov,
-		},
-		Workers:   opts.Workers,
-		Recorders: recs,
-	}
-	if lopts.Workers <= 1 {
-		lopts.Workers = 1
-	}
-
-	// Governance: one admission grant for the whole batch, the memory
-	// budget chained under the governor's, and the degradation ladder
-	// sized against the largest pattern in the batch.
-	var degradations []string
-	var govLim *arena.Limiter
-	start := time.Now()
-	if opts.Governor != nil {
-		gov := opts.Governor.g
-		a, aerr := gov.Admit(ctx, lopts.Workers, opts.AdmissionTimeout)
-		if aerr != nil {
-			return bres, mapErr(aerr)
-		}
-		defer a.Close()
-		lopts.Gate = a
-		lopts.Watchdog = gov.Watchdog()
-		govLim = gov.MemLimiter()
-		batchRec.AddDuration(metrics.AdmissionWaitNanos, a.Wait())
-		batchRec.Add(metrics.AdmissionSlotsGranted, uint64(a.Granted()))
-		if a.Granted() < lopts.Workers {
-			degradations = append(degradations, fmt.Sprintf(
-				"admission: granted %d of %d requested workers", a.Granted(), lopts.Workers))
-		}
-		lopts.Workers = a.Granted()
-	}
-	runLim := arena.NewLimiter(opts.MemoryBudget, govLim)
-	defer runLim.ReleaseAll()
-	lopts.MemLimiter = runLim
-	lopts.Workers, degradations, err = sizeBatchWorkers(lopts.Workers, st.maxDegree(), maxPatternVerts, runLim, degradations)
-	if err != nil {
-		return bres, err
-	}
-	lopts.Gate.ReleaseTo(lopts.Workers)
-
-	lres, err := lanes.Run(ctx, st.base, lq, lopts)
-	bres.Duration = time.Since(start)
-	if n := runLim.TightGrows(); n > 0 {
-		degradations = append(degradations, fmt.Sprintf(
-			"memory: %d exact-size arena slab grows under budget pressure", n))
-	}
-	if lres.SlotsShed > 0 {
-		degradations = append(degradations, fmt.Sprintf(
-			"admission: shed %d worker slot(s) to waiting queries", lres.SlotsShed))
-	}
-	if lres.Stalls > 0 {
-		degradations = append(degradations, fmt.Sprintf(
-			"watchdog: %d stall(s) detected", lres.Stalls))
-	}
-	batchRec.Add(metrics.GovernorDegradations, uint64(len(degradations)))
-
-	bres.Groups = lres.Groups
-	bres.Workers = lres.Workers
-	bres.Degradations = degradations
-	bres.Queries = make([]Result, len(queries))
-	for i := range queries {
-		lc := lres.PerQuery[i]
-		r := Result{
-			Matches:              lc.Matches,
-			Intersections:        lc.Stats.Intersections,
-			GallopingPercent:     lc.Stats.GallopingPercent(),
-			Nodes:                lc.Nodes,
-			Duration:             bres.Duration,
-			CandidateMemoryBytes: lres.CandidateMemBytes,
-			Stopped:              lres.Stopped,
-		}
-		r.Order = make([]int, len(lq[i].Plan.Pi))
-		copy(r.Order, lq[i].Plan.Pi)
-		r.Report = newRunReport(recs[i], opts, lres.Workers, bres.Duration, lres.CandidateMemBytes, nil, nil)
-		r.Report.DeltaEdges = st.deltaEdges()
-		r.Report.SnapshotGen = st.gen
-		bres.Queries[i] = r
-	}
-	return bres, mapErr(err)
-}
-
-// sizeBatchWorkers is sizeWorkers for a batch: the per-worker
-// footprint estimate uses the largest pattern any group runs.
-func sizeBatchWorkers(workers, maxDegree, maxPatternVerts int, lim *arena.Limiter, degradations []string) (int, []string, error) {
-	head := lim.Headroom()
-	if head < 0 {
-		return workers, degradations, nil
-	}
-	allocs := maxPatternVerts + 1
-	tightEst := arena.EstimateBytes(allocs, maxDegree, true)
-	if tightEst <= 0 || int64(workers)*tightEst <= head {
-		return workers, degradations, nil
-	}
-	fit := int(head / tightEst)
-	if fit < 1 {
-		fit = 1
-	}
-	if fit < workers {
-		degradations = append(degradations, fmt.Sprintf(
-			"memory: shed workers %d -> %d (predicted %d B/worker, headroom %d B)",
-			workers, fit, tightEst, head))
-		workers = fit
-	}
-	return workers, degradations, nil
+	return execute(ctx, g, opts, q)
 }

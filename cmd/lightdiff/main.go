@@ -5,11 +5,14 @@
 // LIGHT engine serial + parallel under every scheduler, kernel,
 // TailCount and DegreeFilter combination, plus a kill-and-resume
 // checkpoint round-trip, a lane-batched pass (root-window and
-// mixed-spec batches, per-lane counters vs sequential references), and
+// mixed-spec batches, per-lane counters vs sequential references),
 // an edge-delta pass (a seed-derived mutation batch applied
 // copy-on-write, checked against a fresh CSR rebuild and the CountDelta
-// identity). On a discrepancy it shrinks the case to a minimal repro,
-// prints it as a ready-to-paste Go test, and exits 1.
+// identity), and a labeled-entry pass (seed-derived vertex labels,
+// CountLabeled at one and -workers workers plus EnumerateLabeled's
+// distinct mappings against a brute-force label-preserving count). On
+// a discrepancy it shrinks the case to a minimal repro, prints it as a
+// ready-to-paste Go test, and exits 1.
 //
 // Usage:
 //

@@ -421,7 +421,7 @@ func readEdgeUpdates(path string) (add, rem [][2]light.VertexID, err error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: line %d: bad vertex %q: %v", path, lineNo, fields[1], err)
 		}
-		e := [2]light.VertexID{light.VertexID(u), light.VertexID(v)} //lightvet:ignore indexsafety -- ParseUint bitSize 32 bounds both values
+		e := [2]light.VertexID{light.VertexID(u), light.VertexID(v)}
 		if op == "-" {
 			rem = append(rem, e)
 		} else {

@@ -134,8 +134,8 @@ func countTouching(ctx context.Context, g *Graph, p *Pattern, snap *Snapshot, ed
 		}
 		return true
 	}
-	// With Workers > 1 the visitor is serialized by the engine's mutex,
-	// so the plain counter is safe.
+	// The scheduler serializes the visitor at every worker count, so the
+	// plain counter is safe.
 	if _, err := EnumerateContext(ctx, g, p, ropts, visit); err != nil {
 		return 0, err
 	}

@@ -4,7 +4,9 @@
 // — an independent brute-force reference, the BFS-join baselines, and
 // the LIGHT engine serial and parallel under every scheduler, kernel,
 // TailCount and DegreeFilter combination, plus a kill-and-resume
-// checkpoint round-trip — and cross-checks the results. On a
+// checkpoint round-trip, lane batches, edge deltas, and the public
+// labeled entry points on seed-derived labels — and cross-checks the
+// results. On a
 // discrepancy, a greedy shrinker reduces the case to a minimal repro
 // and renders it as a ready-to-paste Go test.
 //

@@ -336,6 +336,14 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		out.Checks += 5
 	}
 
+	// Labeled-entry oracle: the same case with seed-derived labels,
+	// through CountLabeled and EnumerateLabeled.
+	if d := checkLabeled(c, cfg); d != nil {
+		out.Checks++
+		return out, d
+	}
+	out.Checks += 3
+
 	// Enumerate mode: the emitted mapping set must be exactly the
 	// reference image sets, with no duplicates (symmetry breaking emits
 	// one representative per automorphism class).

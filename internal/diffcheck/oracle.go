@@ -36,13 +36,26 @@ type oracle struct {
 	capped bool
 	assign []uint32
 	used   map[uint32]bool
+	// glab and plab, when non-nil, restrict embeddings to those mapping
+	// every pattern vertex u to a data vertex v with glab[v] == plab[u].
+	glab, plab []uint16
 }
 
 // countEmbeddings runs the reference matcher. graphN/graphEdges
 // describe the data graph (in whatever labeling the caller wants keys
 // expressed), patN/patEdges the pattern. The pattern must be connected.
 func countEmbeddings(graphN int, graphEdges [][2]uint32, patN int, patEdges [][2]int, limit uint64, collectKeys bool) oracleResult {
+	return countLabeledEmbeddings(graphN, graphEdges, nil, patN, patEdges, nil, limit, collectKeys)
+}
+
+// countLabeledEmbeddings is countEmbeddings restricted to
+// label-preserving maps: pattern vertex u only maps to data vertices v
+// with graphLabels[v] == patLabels[u]. Nil labels disable the check.
+func countLabeledEmbeddings(graphN int, graphEdges [][2]uint32, graphLabels []uint16,
+	patN int, patEdges [][2]int, patLabels []uint16, limit uint64, collectKeys bool) oracleResult {
 	o := &oracle{
+		glab:   graphLabels,
+		plab:   patLabels,
 		adj:    make([][]uint32, graphN),
 		pn:     patN,
 		padj:   make([][]int, patN),
@@ -141,7 +154,7 @@ func (o *oracle) extend(i int) {
 		}
 	}
 	for _, v := range cands {
-		if o.used[v] {
+		if o.used[v] || (o.plab != nil && o.glab[v] != o.plab[u]) {
 			continue
 		}
 		ok := true
@@ -215,10 +228,16 @@ func imageKey(pedges [][2]int, mapTo func(u int) uint32) string {
 // inverse also preserves edges, i.e. an automorphism. Independent of
 // pattern.Automorphisms.
 func autCount(patN int, patEdges [][2]int) uint64 {
+	return labeledAutCount(patN, patEdges, nil)
+}
+
+// labeledAutCount is autCount over the label-preserving automorphisms:
+// the pattern's label-preserving embeddings into itself.
+func labeledAutCount(patN int, patEdges [][2]int, patLabels []uint16) uint64 {
 	self := make([][2]uint32, len(patEdges))
 	for i, e := range patEdges {
 		self[i] = [2]uint32{uint32(e[0]), uint32(e[1])}
 	}
-	r := countEmbeddings(patN, self, patN, patEdges, 1<<40, false)
+	r := countLabeledEmbeddings(patN, self, patLabels, patN, patEdges, patLabels, 1<<40, false)
 	return r.Embeddings
 }

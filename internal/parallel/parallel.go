@@ -197,9 +197,10 @@ func Run(g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (R
 // deadlines share the engine's stop-flag path: the run unwinds at the
 // next poll, the partial result is returned with Stopped=true, and the
 // error is ctx.Err(). If visit is non-nil it is serialized by a mutex,
-// so enumeration-mode scaling is limited; counting mode (visit == nil)
-// is fully parallel. A panic in visit or in a worker is recovered,
-// stops the pool cleanly, and is returned as a *supervise.PanicError.
+// so enumeration-mode scaling is limited, and it is never called again
+// after it returns false; counting mode (visit == nil) is fully
+// parallel. A panic in visit or in a worker is recovered, stops the
+// pool cleanly, and is returned as a *supervise.PanicError.
 func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (Result, error) {
 	if opts.Engine.Delta < 0 {
 		// Reject here, before workers spawn: engine.New panics on a
@@ -224,12 +225,21 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 		opts.Engine.Deadline = time.Now().Add(opts.Engine.TimeLimit)
 	}
 	if visit != nil {
+		// Serialize visit, and never call it again once it returned false
+		// (or panicked): workers already waiting on the mutex would
+		// otherwise deliver matches past the caller's stop.
 		var mu sync.Mutex
+		done := false
 		inner := visit
 		visit = func(m []graph.VertexID) bool {
 			mu.Lock()
 			defer mu.Unlock()
-			return inner(m)
+			if done {
+				return false
+			}
+			done = true // stays set if inner panics
+			done = !inner(m)
+			return !done
 		}
 	}
 	visit, visitErr := supervise.SafeVisit("visit callback", visit)

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,6 +138,32 @@ func TestParallelEarlyStop(t *testing.T) {
 	}
 	if res.Matches >= 9880 { // far fewer than the full C(40,3)
 		t.Fatalf("early stop ineffective: %d matches", res.Matches)
+	}
+}
+
+// TestVisitNotCalledAfterStop: once visit returns false it is never
+// called again, even by workers already waiting to deliver a match. A
+// slow visitor keeps the other workers queued on its mutex, so a stop
+// that let them through would show as extra calls.
+func TestVisitNotCalledAfterStop(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 8, 7)
+	pl := compile(t, pattern.Triangle(), plan.ModeLIGHT)
+	const stopAt = 100
+	for trial := 0; trial < 5; trial++ {
+		var calls atomic.Int64
+		res, err := Run(g, pl, Options{Workers: 4, ChunkSize: 4, MinSplit: 2}, func(m []graph.VertexID) bool {
+			time.Sleep(20 * time.Microsecond)
+			return calls.Add(1) < stopAt
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stopped {
+			t.Fatal("expected Stopped")
+		}
+		if n := calls.Load(); n != stopAt {
+			t.Fatalf("trial %d: visit called %d times, want exactly %d", trial, n, stopAt)
+		}
 	}
 }
 

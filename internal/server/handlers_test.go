@@ -248,6 +248,25 @@ func TestEnumerateStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// TestEnumerateLimitExactWithWorkers: with several workers the row
+// callback must not run again after it stopped at the limit, so the
+// stream holds exactly limit rows. Repeated because an extra row needs
+// a worker to be waiting on the callback when the limit is reached.
+func TestEnumerateLimitExactWithWorkers(t *testing.T) {
+	s, _, _ := testServer(t, Config{})
+	for i := 0; i < 30; i++ {
+		w := do(t, s, "POST", "/enumerate", queryRequest{Graph: "g", Pattern: "triangle", Limit: 100,
+			Options: QueryOptions{Workers: 2}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+		}
+		rows, trailer := scanStream(t, w.Body.Bytes())
+		if rows != 100 || !trailer.Truncated {
+			t.Fatalf("run %d: rows = %d, trailer = %+v, want exactly 100 rows, truncated", i, rows, trailer)
+		}
+	}
+}
+
 // scanStream parses an NDJSON body into its row count and trailer.
 func scanStream(t *testing.T, body []byte) (int, enumerateTrailer) {
 	t.Helper()

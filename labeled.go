@@ -1,11 +1,9 @@
 package light
 
 import (
+	"context"
 	"errors"
-	"time"
 
-	"light/internal/engine"
-	"light/internal/graph"
 	"light/internal/labeled"
 )
 
@@ -13,9 +11,10 @@ import (
 type Label = uint16
 
 // LabeledGraph is a data graph whose vertices carry labels, with the
-// candidate-filtering indexes (label classes and neighborhood label
-// frequencies) built at construction.
+// candidate-filtering index (neighborhood label frequencies) built at
+// construction.
 type LabeledGraph struct {
+	st *snapshotState
 	lg *labeled.Graph
 }
 
@@ -32,7 +31,7 @@ func WithLabels(g *Graph, labels []Label) (*LabeledGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LabeledGraph{lg: lg}, nil
+	return &LabeledGraph{st: st, lg: lg}, nil
 }
 
 // Label returns the label of data vertex v.
@@ -57,43 +56,51 @@ func WithPatternLabels(p *Pattern, labels []Label) (*LabeledPattern, error) {
 // vertex's label. Deduplication uses the label-preserving automorphisms
 // only, so differently-labeled placements of a symmetric pattern are
 // counted separately, as they should be.
+//
+// A labeled query runs through the same pipeline as Count, so it honours
+// Algorithm, Intersection, Workers, TimeLimit, Order,
+// HubDegreeThreshold, Governor, MemoryBudget and AdmissionTimeout, and
+// Filter narrows the label checks further. TailCount has no effect (the
+// label checks run on every leaf). The run always enumerates the
+// snapshot WithLabels bound, and checkpoints cannot record the labels,
+// so Snapshot, CheckpointPath and ResumeFrom are rejected.
 func CountLabeled(g *LabeledGraph, p *LabeledPattern, opts Options) (Result, error) {
-	return runLabeled(g, p, opts, nil)
+	q, err := g.query(p, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(context.Background(), nil, opts, q)
 }
 
 // EnumerateLabeled streams every label-preserving match to visit (same
-// contract as Enumerate).
+// contract as Enumerate, same Options as CountLabeled).
 func EnumerateLabeled(g *LabeledGraph, p *LabeledPattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
 	if visit == nil {
 		return Result{}, errors.New("light: EnumerateLabeled requires a visitor; use CountLabeled")
 	}
-	return runLabeled(g, p, opts, visit)
+	q, err := g.query(p, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	q.visit = visit
+	return run(context.Background(), nil, opts, q)
 }
 
-func runLabeled(g *LabeledGraph, p *LabeledPattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
-	lopts := labeled.Options{
-		Engine: engine.Options{
-			Kernel:    opts.Intersection.kind(),
-			TimeLimit: opts.TimeLimit,
-		},
-		Workers: opts.Workers,
-		Mode:    opts.Algorithm.mode(),
+// query is the executor query of a labeled run: an ordinary plan from
+// the label-preserving partial order, with the label filter in front of
+// Options.Filter.
+func (g *LabeledGraph) query(p *LabeledPattern, opts Options) (query, error) {
+	switch {
+	case opts.Snapshot != nil:
+		return query{}, errors.New("light: CountLabeled does not take Options.Snapshot (it runs on the snapshot WithLabels bound)")
+	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
+		return query{}, errors.New("light: CountLabeled does not support checkpointing")
 	}
-	var ev engine.VisitFunc
-	if visit != nil {
-		ev = func(m []graph.VertexID) bool { return visit(m) }
-	}
-	start := time.Now()
-	var er engine.Result
-	var err error
-	if visit != nil {
-		er, err = labeled.Enumerate(g.lg, p.lp, lopts, ev)
-	} else {
-		er, err = labeled.Count(g.lg, p.lp, lopts)
-	}
-	var res Result
-	res = fill(res, er, time.Since(start))
-	return res, mapErr(err)
+	return query{
+		st:      g.st,
+		members: []member{{p: p.lp.P, po: p.lp.SymmetryBreaking()}},
+		filter:  labeled.Filter(g.lg, p.lp),
+	}, nil
 }
 
 // ApproxCount estimates the match count from random path-sampling

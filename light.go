@@ -32,18 +32,13 @@ import (
 	"time"
 
 	"light/internal/admission"
-	"light/internal/arena"
 	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/estimate"
-	"light/internal/faultpoint"
 	"light/internal/graph"
 	"light/internal/intersect"
-	"light/internal/metrics"
-	"light/internal/parallel"
 	"light/internal/pattern"
 	"light/internal/plan"
-	"light/internal/supervise"
 )
 
 // ErrTimeLimit is returned when Options.TimeLimit elapses mid-run.
@@ -437,8 +432,8 @@ type Options struct {
 	Algorithm Algorithm
 	// Intersection defaults to HybridBlock.
 	Intersection Intersection
-	// Workers > 1 enables the work-stealing parallel DFS (Section
-	// VII-B). 0 or 1 runs sequentially.
+	// Workers is the size of the work-stealing worker pool (Section
+	// VII-B); 0 means one worker.
 	Workers int
 	// TimeLimit aborts the run with ErrTimeLimit when positive.
 	TimeLimit time.Duration
@@ -451,7 +446,7 @@ type Options struct {
 	// assignment on some match the caller wants) and cheap — it runs
 	// in the innermost loop, possibly from many workers at once. A
 	// filtered run disables the TailCount shortcut so every leaf
-	// assignment is individually checked; this is also the sequential
+	// assignment is individually checked; this is also the solo-run
 	// reference semantics for batch queries (see CountBatch).
 	Filter func(u int, v VertexID) bool
 	// Order overrides the cost-based enumeration order with an explicit
@@ -470,8 +465,7 @@ type Options struct {
 	HubDegreeThreshold int
 	// CheckpointPath, when non-empty, periodically persists the run's
 	// committed state to this file (atomic temp-file+rename writes) so
-	// an interrupted run can be resumed with ResumeFrom. Forces the
-	// parallel work-stealing engine even for Workers <= 1.
+	// an interrupted run can be resumed with ResumeFrom.
 	CheckpointPath string
 	// CheckpointInterval is the period between checkpoint writes
 	// (default 30s). A final checkpoint is always written when the run
@@ -534,21 +528,6 @@ type Result struct {
 	Report *RunReport
 }
 
-// preparePlan compiles the pattern under the options, planning from the
-// snapshot's base-CSR statistics (pending deltas shift costs, never the
-// match set, so base statistics keep the plan sound).
-func preparePlan(st *snapshotState, p *Pattern, opts Options) (*plan.Plan, error) {
-	po := pattern.SymmetryBreaking(p.p)
-	if opts.Order != nil {
-		pi := make([]pattern.Vertex, len(opts.Order))
-		for i, u := range opts.Order {
-			pi[i] = u
-		}
-		return plan.Compile(p.p, po, pi, opts.Algorithm.mode())
-	}
-	return plan.Choose(p.p, po, st.planStats(), opts.Algorithm.mode())
-}
-
 // resolveState picks the snapshot a run enumerates: the pinned one when
 // Options.Snapshot is set (validated to belong to g), the latest
 // published one otherwise.
@@ -564,28 +543,29 @@ func (g *Graph) resolveState(snap *Snapshot) (*snapshotState, error) {
 
 // Count returns the number of subgraphs of g isomorphic to p.
 func Count(g *Graph, p *Pattern, opts Options) (Result, error) {
-	return run(context.Background(), g, p, opts, nil)
+	return run(context.Background(), g, opts, query{members: []member{unlabeled(p)}})
 }
 
 // CountContext is Count under a context: cancellation or a context
 // deadline stops the run at its next poll and returns the partial
 // count with Stopped=true and ctx.Err() as the error.
 func CountContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (Result, error) {
-	return run(ctx, g, p, opts, nil)
+	return run(ctx, g, opts, query{members: []member{unlabeled(p)}})
 }
 
 // Enumerate calls visit for every subgraph of g isomorphic to p;
 // visit(m) receives the data vertex m[u] matched to each pattern vertex
 // u. The slice is reused — copy it to retain. Returning false stops the
-// enumeration. With Workers > 1, visit is serialized by a mutex but may
-// be called from different goroutines. A panic inside visit does not
-// crash the process: the run stops cleanly and the panic is returned
-// as an error (a *supervise.PanicError carrying the stack).
+// enumeration, and visit is never called again after it returns false.
+// Calls are serialized by a mutex but run on the scheduler's worker
+// goroutines at any worker count, never on the caller's. A panic inside
+// visit does not crash the process: the run stops cleanly and the panic
+// is returned as an error (a *supervise.PanicError carrying the stack).
 func Enumerate(g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
 	if visit == nil {
 		return Result{}, errors.New("light: Enumerate requires a visitor; use Count")
 	}
-	return run(context.Background(), g, p, opts, visit)
+	return run(context.Background(), g, opts, query{members: []member{unlabeled(p)}, visit: visit})
 }
 
 // EnumerateContext is Enumerate under a context: cancellation or a
@@ -595,163 +575,7 @@ func EnumerateContext(ctx context.Context, g *Graph, p *Pattern, opts Options, v
 	if visit == nil {
 		return Result{}, errors.New("light: EnumerateContext requires a visitor; use CountContext")
 	}
-	return run(ctx, g, p, opts, visit)
-}
-
-func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.VisitFunc) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	st, err := g.resolveState(opts.Snapshot)
-	if err != nil {
-		return Result{}, err
-	}
-	if st.ov != nil && (opts.CheckpointPath != "" || opts.ResumeFrom != "") {
-		return Result{}, errors.New(
-			"light: checkpoint/resume require a compacted snapshot; call Compact before checkpointing")
-	}
-	pl, err := preparePlan(st, p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	rec := metrics.NewRecorder()
-	if opts.HubDegreeThreshold > 0 {
-		// First-wins preparation: the first query to request a τ on this
-		// graph rebuilds the index once; concurrent and later queries —
-		// even with a conflicting τ — share that build instead of
-		// thrashing rebuilds (see graph.EnsureHubIndex).
-		st.base.EnsureHubIndex(opts.HubDegreeThreshold)
-	}
-	eopts := engine.Options{
-		Kernel:    opts.Intersection.kind(),
-		TimeLimit: opts.TimeLimit,
-		TailCount: opts.TailCount,
-		Filter:    opts.Filter,
-		Metrics:   rec,
-		Overlay:   st.ov,
-	}
-	start := time.Now()
-	var res Result
-	res.Order = make([]int, len(pl.Pi))
-	copy(res.Order, pl.Pi)
-
-	// Checkpointing, resume, and resource governance all live in the
-	// parallel scheduler, so any of those options routes through it
-	// even for a single worker.
-	if opts.Workers > 1 || opts.CheckpointPath != "" || opts.ResumeFrom != "" ||
-		opts.Governor != nil || opts.MemoryBudget > 0 {
-		popts := parallel.Options{Engine: eopts, Workers: opts.Workers, Metrics: rec}
-		if opts.CheckpointPath != "" {
-			popts.Checkpoint = &parallel.CheckpointOptions{
-				Path:     opts.CheckpointPath,
-				Interval: opts.CheckpointInterval,
-			}
-		}
-		if opts.ResumeFrom != "" {
-			ck, err := supervise.LoadCheckpoint(opts.ResumeFrom)
-			if err != nil {
-				return Result{}, fmt.Errorf("light: loading checkpoint: %w", err)
-			}
-			popts.Resume = ck
-		}
-		if opts.Workers <= 1 {
-			popts.Workers = 1
-		}
-
-		// Admission: wait for the guaranteed slot, run with what was
-		// granted, and chain the run's memory budget under the
-		// governor's. Degradation events accumulate into the RunReport.
-		var degradations []string
-		var govLim *arena.Limiter
-		if opts.Governor != nil {
-			gov := opts.Governor.g
-			a, aerr := gov.Admit(ctx, popts.Workers, opts.AdmissionTimeout)
-			if aerr != nil {
-				return Result{}, mapErr(aerr)
-			}
-			defer a.Close()
-			popts.Gate = a
-			popts.Watchdog = gov.Watchdog()
-			govLim = gov.MemLimiter()
-			rec.AddDuration(metrics.AdmissionWaitNanos, a.Wait())
-			rec.Add(metrics.AdmissionSlotsGranted, uint64(a.Granted()))
-			if a.Granted() < popts.Workers {
-				degradations = append(degradations, fmt.Sprintf(
-					"admission: granted %d of %d requested workers", a.Granted(), popts.Workers))
-			}
-			popts.Workers = a.Granted()
-		}
-		runLim := arena.NewLimiter(opts.MemoryBudget, govLim)
-		defer runLim.ReleaseAll()
-		popts.MemLimiter = runLim
-		popts.Workers, degradations, err = sizeWorkers(popts.Workers, st.maxDegree(), p.NumVertices(), runLim, degradations)
-		if err != nil {
-			return Result{}, err
-		}
-		// If the degradation ladder shrank the pool below the admission
-		// grant, return the surplus slots before any worker spawns: the
-		// governor's shed protocol assumes held slots == live workers,
-		// and holding more would let every worker — including the last —
-		// retire to a waiting query with root chunks still unclaimed.
-		popts.Gate.ReleaseTo(popts.Workers)
-
-		pres, err := parallel.RunContext(ctx, st.base, pl, popts, visit)
-		if n := runLim.TightGrows(); n > 0 {
-			degradations = append(degradations, fmt.Sprintf(
-				"memory: %d exact-size arena slab grows under budget pressure", n))
-		}
-		if pres.SlotsShed > 0 {
-			degradations = append(degradations, fmt.Sprintf(
-				"admission: shed %d worker slot(s) to waiting queries", pres.SlotsShed))
-		}
-		if pres.Stalls > 0 {
-			degradations = append(degradations, fmt.Sprintf(
-				"watchdog: %d stall(s) detected", pres.Stalls))
-		}
-		rec.Add(metrics.GovernorDegradations, uint64(len(degradations)))
-		res = fill(res, pres.Result, time.Since(start))
-		res.CandidateMemoryBytes = pres.CandidateMemBytes
-		res.Report = newRunReport(rec, opts, pres.Workers, res.Duration, res.CandidateMemoryBytes, &pres, degradations)
-		res.Report.DeltaEdges = st.deltaEdges()
-		res.Report.SnapshotGen = st.gen
-		return res, mapErr(err)
-	}
-
-	e := engine.New(st.base, pl, eopts)
-	var ctxStop atomic.Bool
-	e.Stop = &ctxStop
-	release := supervise.WatchContext(ctx, func() { ctxStop.Store(true) })
-	defer release()
-	visit, visitErr := supervise.SafeVisit("visit callback", visit)
-	var eres engine.Result
-	err = supervise.Call("sequential enumeration", func() error {
-		var rerr error
-		eres, rerr = e.Run(visit)
-		return rerr
-	})
-	res = fill(res, eres, time.Since(start))
-	res.CandidateMemoryBytes = e.CandidateMemoryBytes()
-	rec.Add(metrics.ArenaBytes, uint64(res.CandidateMemoryBytes))
-	res.Report = newRunReport(rec, opts, 1, res.Duration, res.CandidateMemoryBytes, nil, nil)
-	res.Report.DeltaEdges = st.deltaEdges()
-	res.Report.SnapshotGen = st.gen
-	if verr := visitErr(); verr != nil {
-		err = verr
-	}
-	if err == nil && eres.Stopped && ctx != nil && ctx.Err() != nil {
-		err = ctx.Err()
-	}
-	return res, mapErr(err)
-}
-
-func fill(res Result, er engine.Result, d time.Duration) Result {
-	res.Matches = er.Matches
-	res.Intersections = er.Stats.Intersections
-	res.GallopingPercent = er.Stats.GallopingPercent()
-	res.Nodes = er.Nodes
-	res.Duration = d
-	res.Stopped = er.Stopped
-	return res
+	return run(ctx, g, opts, query{members: []member{unlabeled(p)}, visit: visit})
 }
 
 func mapErr(err error) error {
@@ -768,41 +592,6 @@ func mapErr(err error) error {
 	return err
 }
 
-// sizeWorkers walks the memory-degradation ladder before any worker
-// spawns: if the requested pool's predicted arena footprint exceeds the
-// budget headroom even with exact-size (tight) slabs, workers are shed
-// — down to serial — so the run fits; the engine's hard
-// ErrMemoryBudget stop remains as the last resort for predictions the
-// estimate cannot see (the prediction covers per-worker candidate
-// buffers, the dominant term).
-func sizeWorkers(workers, maxDegree, patternVerts int, lim *arena.Limiter, degradations []string) (int, []string, error) {
-	head := lim.Headroom()
-	if head < 0 {
-		return workers, degradations, nil
-	}
-	if err := faultpoint.Hit(faultpoint.PointBudgetCheck); err != nil {
-		return 0, nil, fmt.Errorf("light: budget check: %w", err)
-	}
-	// Per-worker worst case: one cap-d_max buffer per pattern vertex
-	// plus one scratch buffer.
-	allocs := patternVerts + 1
-	tightEst := arena.EstimateBytes(allocs, maxDegree, true)
-	if tightEst <= 0 || int64(workers)*tightEst <= head {
-		return workers, degradations, nil
-	}
-	fit := int(head / tightEst)
-	if fit < 1 {
-		fit = 1
-	}
-	if fit < workers {
-		degradations = append(degradations, fmt.Sprintf(
-			"memory: shed workers %d -> %d (predicted %d B/worker, headroom %d B)",
-			workers, fit, tightEst, head))
-		workers = fit
-	}
-	return workers, degradations, nil
-}
-
 // PlanKey returns the canonical key of the plan the optimizer would
 // run for (g, p, opts): pattern adjacency, enumeration order, execution
 // order, COMP operands, and symmetry constraints — everything that
@@ -816,7 +605,7 @@ func PlanKey(g *Graph, p *Pattern, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl, err := preparePlan(st, p, opts)
+	pl, err := unlabeled(p).plan(st, opts)
 	if err != nil {
 		return "", err
 	}
@@ -832,7 +621,7 @@ func Explain(g *Graph, p *Pattern, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl, err := preparePlan(st, p, opts)
+	pl, err := unlabeled(p).plan(st, opts)
 	if err != nil {
 		return "", err
 	}

@@ -37,14 +37,14 @@ go test -race "${SHORT[@]}" ./internal/lint/...
 echo "==> go test -count=1 -shuffle=on ./..."
 go test -count=1 -shuffle=on "${SHORT[@]}" ./...
 
-echo "==> go test -race (parallel, engine, lanes, delta, metrics, admission, server incl. soaks)"
+echo "==> go test -race (parallel, engine, lanes, delta, metrics, admission, labeled, server incl. soaks and enumerate-stop tests)"
 # Explicit -timeout: under -race these are the slowest steps, and a hang
 # should fail with goroutine dumps inside the CI job budget, not at it.
 go test -race -timeout 10m "${SHORT[@]}" \
-    ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/metrics/... ./internal/admission/... ./internal/server/...
+    ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/metrics/... ./internal/admission/... ./internal/labeled/... ./internal/server/...
 
-echo "==> go test -race shared-graph regressions (hub index, snapshot isolation)"
-go test -race -timeout 5m -run 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' .
+echo "==> go test -race shared-graph regressions (hub index, snapshot isolation, labeled pipeline contract)"
+go test -race -timeout 5m -run 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation|TestLabeledMemoryBudgetContract|TestLabeledReportMatchesFilteredCount|TestCountLabeledRejectsUnsupportedOptions' .
 
 echo "==> lightd smoke: boot the daemon, load a graph, count + enumerate + batch over HTTP"
 go run ./cmd/lightd -smoke
@@ -57,7 +57,7 @@ go test -race -tags faultinject -timeout 10m "${SHORT[@]}" \
 echo "==> fuzz smoke: FuzzCSRRoundTrip (10s)"
 go test ./internal/graph/ -run FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
 
-echo "==> lightdiff differential smoke (lane + edge-delta oracles on)"
+echo "==> lightdiff differential smoke (lane, edge-delta and labeled-entry oracles on)"
 if [[ ${#SHORT[@]} -gt 0 ]]; then
     go run ./cmd/lightdiff -cases 40 -quick -lanes -delta
 else

@@ -119,13 +119,36 @@ func main() {
 	serve(s, *addr)
 }
 
+// Connection timeouts of every lightd listener. A client that trickles
+// its headers or body is cut off instead of holding a connection open
+// forever, and an idle keep-alive connection is closed. There is no
+// write timeout: /enumerate streams for as long as the query's own
+// deadline allows.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server for h with lightd's connection
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serve runs the HTTP server until SIGINT/SIGTERM, then shuts down
 // gracefully, letting in-flight queries finish.
 func serve(s *server.Server, addr string) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+	hs := newHTTPServer(addr, s.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- hs.ListenAndServe()
@@ -191,7 +214,7 @@ func runSmoke(s *server.Server) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer("", s.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- hs.Serve(ln)

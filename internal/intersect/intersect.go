@@ -4,12 +4,12 @@
 // Hybrid (Algorithm 4: Merge when |S1|/|S2| and |S2|/|S1| are below the
 // threshold δ, Galloping otherwise; δ defaults to 50 as in the paper).
 //
-// The paper implements Merge and Hybrid with AVX2. Go has no SIMD
-// intrinsics in the standard toolchain, so this package substitutes
-// Block kernels: 8-lane block-skipping, branch-reduced scalar loops with
-// the same algorithmic structure (block max compare, skip-ahead) as the
-// vectorized versions. See DESIGN.md §3 for why this preserves the
-// experiments' shape.
+// MergeBlock and HybridBlock are the paper's MergeAVX2 and HybridAVX2.
+// Their merge is an AVX2 kernel in Go assembly (merge_amd64.s): 8×8
+// all-pairs block compares, then a broadcast-compare tail. It runs when
+// the CPU reports AVX2 and the OS saves the YMM registers; on other CPUs
+// and off amd64 the Block kernels are plain Merge. Stats are counted
+// before dispatch, so they do not depend on which path runs.
 //
 // All kernels take strictly sorted uint32 slices and write the
 // intersection into a caller-provided destination with capacity at least
@@ -23,25 +23,22 @@ import "light/internal/graph"
 // (configured as 50 based on Lemire et al.'s performance study).
 const DefaultDelta = 50
 
-// lane is the simulated SIMD width (AVX2 holds eight 32-bit lanes).
-const lane = 8
-
 // Kind selects an intersection kernel.
 type Kind int
 
 const (
 	// KindMerge is the linear two-pointer merge, O(|S1|+|S2|).
 	KindMerge Kind = iota
-	// KindMergeBlock is Merge with 8-lane block skipping — the stand-in
-	// for the paper's MergeAVX2.
+	// KindMergeBlock is the paper's MergeAVX2: the AVX2 block merge,
+	// plain Merge where AVX2 is absent.
 	KindMergeBlock
 	// KindGalloping scans the smaller set and exponentially probes the
 	// larger, O(|S1|·log|S2|) for |S1| < |S2|.
 	KindGalloping
 	// KindHybrid is Algorithm 4 with scalar Merge.
 	KindHybrid
-	// KindHybridBlock is Algorithm 4 with block-skipping Merge — the
-	// stand-in for the paper's HybridAVX2.
+	// KindHybridBlock is Algorithm 4 with MergeBlock — the paper's
+	// HybridAVX2.
 	KindHybridBlock
 	// KindMergeBitmap probes hub bitmaps for high-degree K1 operands and
 	// falls back to MergeBlock between plain lists (see MultiWayBitmap).
@@ -211,65 +208,22 @@ func Merge(dst, a, b []graph.VertexID) int {
 	return n
 }
 
-// MergeBlock is Merge restructured the way the SIMD kernel is: whole
-// 8-element blocks whose maximum is below the other side's current
-// minimum are skipped with a single comparison (the vector compare), and
-// only value-overlapping windows are merged element-wise. Same caller
-// capacity contract as Merge: under-capacity panics on the write.
+// MergeBlock is MergeAVX2 (§VII-A). On CPUs with AVX2 an assembly
+// kernel does the merge in 8-element blocks (see merge_amd64.s) and Merge
+// finishes the last few elements; elsewhere it is Merge. Same caller
+// capacity contract as Merge: under-capacity panics on the write. The
+// assembly has no bounds checks, so it only runs when cap(dst) covers the
+// largest possible intersection.
 //
 //light:hotpath
 //light:cap-contract
 func MergeBlock(dst, a, b []graph.VertexID) int {
+	if !useAVX2 || cap(dst) < min(len(a), len(b)) {
+		return Merge(dst, a, b)
+	}
 	dst = dst[:cap(dst)]
-	n := 0
-	i, j := 0, 0
-	for i+lane <= len(a) && j+lane <= len(b) {
-		amax, bmax := a[i+lane-1], b[j+lane-1]
-		if amax < b[j] {
-			i += lane
-			continue
-		}
-		if bmax < a[i] {
-			j += lane
-			continue
-		}
-		// The blocks overlap in value range, so both starting values are
-		// at most lim and the inner merge makes progress.
-		lim := amax
-		if bmax < lim {
-			lim = bmax
-		}
-		for a[i] <= lim && b[j] <= lim {
-			x, y := a[i], b[j]
-			if x == y {
-				dst[n] = x
-				n++
-				i++
-				j++
-				if i == len(a) || j == len(b) {
-					return n
-				}
-			} else if x < y {
-				i++
-			} else {
-				j++
-			}
-		}
-	}
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x == y {
-			dst[n] = x
-			n++
-			i++
-			j++
-		} else if x < y {
-			i++
-		} else {
-			j++
-		}
-	}
-	return n
+	i, j, n := mergeAVX2(dst, a, b)
+	return n + Merge(dst[n:], a[i:], b[j:])
 }
 
 // gallop returns the smallest index idx >= lo with s[idx] >= x, probing
@@ -333,8 +287,7 @@ func Hybrid(dst, a, b []graph.VertexID, delta int, stats *Stats) int {
 	return Pair(dst, a, b, KindHybrid, delta, stats)
 }
 
-// HybridBlock is Hybrid with the block-skipping merge (the HybridAVX2
-// stand-in).
+// HybridBlock is Hybrid with MergeBlock as its merge (HybridAVX2).
 func HybridBlock(dst, a, b []graph.VertexID, delta int, stats *Stats) int {
 	return Pair(dst, a, b, KindHybridBlock, delta, stats)
 }
@@ -347,61 +300,6 @@ func skewed(la, lb, delta int) bool {
 		return true
 	}
 	return la/lb >= delta || lb/la >= delta
-}
-
-// Count returns |a ∩ b| without materializing the result, using the
-// hybrid strategy with threshold delta. The operation is recorded in
-// stats (which may be nil) exactly like a materializing Pair call:
-// counting intersections are intersections, and leaving them out of
-// Stats silently skewed Fig 5/Table III-style reports and excluded the
-// counting path from serial-vs-parallel counter-parity checks.
-//
-//light:hotpath
-func Count(a, b []graph.VertexID, delta int, stats *Stats) int {
-	if stats != nil {
-		stats.Intersections++
-		stats.Elements += uint64(len(a) + len(b))
-	}
-	if skewed(len(a), len(b), delta) {
-		if stats != nil {
-			stats.Galloping++
-		}
-		return countGalloping(a, b)
-	}
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x == y {
-			n++
-			i++
-			j++
-		} else if x < y {
-			i++
-		} else {
-			j++
-		}
-	}
-	return n
-}
-
-func countGalloping(a, b []graph.VertexID) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	n := 0
-	j := 0
-	for _, x := range a {
-		j = gallop(b, j, x)
-		if j == len(b) {
-			break
-		}
-		if b[j] == x {
-			n++
-			j++
-		}
-	}
-	return n
 }
 
 // Contains reports whether sorted set s contains x, by binary search.

@@ -66,28 +66,48 @@ func runKernel(k Kind, a, b []graph.VertexID) []graph.VertexID {
 // exactly like their list fallbacks (Pair has no bitmap operands).
 var allKinds = []Kind{KindMerge, KindMergeBlock, KindGalloping, KindHybrid, KindHybridBlock, KindMergeBitmap, KindHybridBitmap}
 
+// bothMergePaths runs f as one subtest per MergeBlock path: "generic"
+// with the assembly kernel off, then "avx2" with it on (skipped on CPUs
+// without AVX2, and off amd64).
+func bothMergePaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	hw := useAVX2
+	t.Cleanup(func() { useAVX2 = hw })
+	useAVX2 = false
+	t.Run("generic", f)
+	t.Run("avx2", func(t *testing.T) {
+		if !hw {
+			t.Skip("CPU has no AVX2")
+		}
+		useAVX2 = true
+		f(t)
+	})
+}
+
 func TestKernelsFixedCases(t *testing.T) {
-	cases := []struct{ a, b, want []graph.VertexID }{
-		{ids(), ids(), ids()},
-		{ids(1), ids(), ids()},
-		{ids(), ids(1), ids()},
-		{ids(1, 2, 3), ids(2, 3, 4), ids(2, 3)},
-		{ids(1, 3, 5, 7), ids(2, 4, 6, 8), ids()},
-		{ids(1, 2, 3), ids(1, 2, 3), ids(1, 2, 3)},
-		{ids(5), ids(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), ids(5)},
-		{ids(0, 100, 200, 300), ids(0, 1, 2, 3, 4, 5, 6, 7, 100, 300, 301, 302, 303, 304, 305, 306, 307), ids(0, 100, 300)},
-	}
-	for _, k := range allKinds {
-		for ci, c := range cases {
-			got := runKernel(k, c.a, c.b)
-			if len(got) == 0 && len(c.want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, c.want) {
-				t.Errorf("%v case %d: got %v, want %v", k, ci, got, c.want)
+	bothMergePaths(t, func(t *testing.T) {
+		cases := []struct{ a, b, want []graph.VertexID }{
+			{ids(), ids(), ids()},
+			{ids(1), ids(), ids()},
+			{ids(), ids(1), ids()},
+			{ids(1, 2, 3), ids(2, 3, 4), ids(2, 3)},
+			{ids(1, 3, 5, 7), ids(2, 4, 6, 8), ids()},
+			{ids(1, 2, 3), ids(1, 2, 3), ids(1, 2, 3)},
+			{ids(5), ids(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), ids(5)},
+			{ids(0, 100, 200, 300), ids(0, 1, 2, 3, 4, 5, 6, 7, 100, 300, 301, 302, 303, 304, 305, 306, 307), ids(0, 100, 300)},
+		}
+		for _, k := range allKinds {
+			for ci, c := range cases {
+				got := runKernel(k, c.a, c.b)
+				if len(got) == 0 && len(c.want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, c.want) {
+					t.Errorf("%v case %d: got %v, want %v", k, ci, got, c.want)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestKernelsAgreeRandomized(t *testing.T) {
@@ -133,15 +153,17 @@ func TestKernelsSkewed(t *testing.T) {
 }
 
 func TestDstMayAliasA(t *testing.T) {
-	for _, k := range allKinds {
-		a := ids(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)
-		b := ids(2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36)
-		n := Pair(a[:0], a, b, k, DefaultDelta, nil)
-		want := ids(2, 4, 6, 8, 10, 12, 14, 16, 18)
-		if !reflect.DeepEqual(a[:n], want) {
-			t.Errorf("%v with dst aliasing a: got %v, want %v", k, a[:n], want)
+	bothMergePaths(t, func(t *testing.T) {
+		for _, k := range allKinds {
+			a := ids(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)
+			b := ids(2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36)
+			n := Pair(a[:0], a, b, k, DefaultDelta, nil)
+			want := ids(2, 4, 6, 8, 10, 12, 14, 16, 18)
+			if !reflect.DeepEqual(a[:n], want) {
+				t.Errorf("%v with dst aliasing a: got %v, want %v", k, a[:n], want)
+			}
 		}
-	}
+	})
 }
 
 func TestHybridDispatch(t *testing.T) {
@@ -167,64 +189,6 @@ func TestHybridDispatch(t *testing.T) {
 	Pair(dst, nil, big, KindHybrid, DefaultDelta, &st)
 	if st.Galloping != 2 {
 		t.Fatalf("empty set should gallop: %+v", st)
-	}
-}
-
-func TestCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 200; trial++ {
-		a := randomSorted(rng, 80, 150)
-		b := randomSorted(rng, 80, 150)
-		if got, want := Count(a, b, DefaultDelta, nil), len(refIntersect(a, b)); got != want {
-			t.Fatalf("Count = %d, want %d", got, want)
-		}
-	}
-	// Force both dispatch paths. A nil stats must be accepted.
-	if Count(ids(1), ids(1, 2, 3), 1, nil) != 1 {
-		t.Fatal("galloping count wrong")
-	}
-	if Count(ids(1, 2), ids(2, 3), 100, nil) != 1 {
-		t.Fatal("merge count wrong")
-	}
-}
-
-// TestCountStats is the regression test for the counter-parity bugfix:
-// Count used to bypass *Stats entirely, so counting-mode intersections
-// and scanned elements never reached reports. Every expectation below
-// is hand-counted.
-func TestCountStats(t *testing.T) {
-	var st Stats
-	// Merge path: |a|=4, |b|=3, ratio 4/3 < δ=50. One intersection,
-	// 4+3=7 elements, no galloping, |a ∩ b| = |{2,4}| = 2.
-	if got := Count(ids(1, 2, 3, 4), ids(2, 4, 6), DefaultDelta, &st); got != 2 {
-		t.Fatalf("merge-path Count = %d, want 2", got)
-	}
-	if st.Intersections != 1 || st.Elements != 7 || st.Galloping != 0 {
-		t.Fatalf("merge-path stats = %+v, want {Intersections:1 Elements:7 Galloping:0}", st)
-	}
-	// Galloping path: δ=1 makes the 2/2 ratio skewed. Second
-	// intersection, 2+2=4 more elements (11 total), one gallop.
-	if got := Count(ids(1, 2), ids(2, 3), 1, &st); got != 1 {
-		t.Fatalf("galloping-path Count = %d, want 1", got)
-	}
-	if st.Intersections != 2 || st.Elements != 11 || st.Galloping != 1 {
-		t.Fatalf("galloping-path stats = %+v, want {Intersections:2 Elements:11 Galloping:1}", st)
-	}
-	// Empty input is skewed by definition: gallops, scans 0+3 elements.
-	if got := Count(nil, ids(1, 2, 3), DefaultDelta, &st); got != 0 {
-		t.Fatalf("empty Count = %d, want 0", got)
-	}
-	if st.Intersections != 3 || st.Elements != 14 || st.Galloping != 2 {
-		t.Fatalf("empty-input stats = %+v, want {Intersections:3 Elements:14 Galloping:2}", st)
-	}
-	// Count and Pair must account identically for the same operands, so
-	// counting-mode runs stay counter-comparable with materializing runs.
-	var cs, ps Stats
-	a, b := ids(1, 2, 3, 4), ids(2, 4, 6)
-	Count(a, b, DefaultDelta, &cs)
-	Pair(make([]graph.VertexID, 3), a, b, KindHybrid, DefaultDelta, &ps)
-	if cs != ps {
-		t.Fatalf("Count stats %+v != Pair stats %+v for identical operands", cs, ps)
 	}
 }
 
@@ -373,26 +337,28 @@ func TestParseKind(t *testing.T) {
 // TestQuickKernelEquivalence property-checks all kernels against the map
 // reference on arbitrary inputs.
 func TestQuickKernelEquivalence(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		a := dedupSort(xs)
-		b := dedupSort(ys)
-		want := refIntersect(a, b)
-		for _, k := range allKinds {
-			got := runKernel(k, a, b)
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
+	bothMergePaths(t, func(t *testing.T) {
+		f := func(xs, ys []uint16) bool {
+			a := dedupSort(xs)
+			b := dedupSort(ys)
+			want := refIntersect(a, b)
+			for _, k := range allKinds {
+				got := runKernel(k, a, b)
+				if len(got) != len(want) {
 					return false
 				}
+				for i := range got {
+					if got[i] != want[i] {
+						return false
+					}
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func dedupSort(xs []uint16) []graph.VertexID {
@@ -427,34 +393,149 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
+// mkRun returns n values from start in steps of step.
+func mkRun(start, n, step int) []graph.VertexID {
+	out := make([]graph.VertexID, n)
+	for i := range out {
+		out[i] = graph.VertexID(start + i*step)
+	}
+	return out
+}
+
+// equalMaxima returns n values laid out in blocks of eight whose last
+// element is 16k+15, so two such sets tie on every block maximum; odd
+// shifts the other values so the maxima are the only common elements.
+func equalMaxima(n int, odd bool) []graph.VertexID {
+	out := make([]graph.VertexID, n)
+	for i := range out {
+		k, lane := i/8, i%8
+		v := 16*k + 2*lane
+		if lane == 7 {
+			v = 16*k + 15
+		} else if odd {
+			v++
+		}
+		out[i] = graph.VertexID(v)
+	}
+	return out
+}
+
+// TestMergeBlockLaneBoundaries checks MergeBlock around the 8-element
+// block: every pair of lengths from 7/8/9/15/16/17 (plus 0, 1 and 33)
+// over all-equal, disjoint, interleaved, coprime-stride and equal-block-
+// maxima inputs, in both argument orders and with dst aliasing a.
 func TestMergeBlockLaneBoundaries(t *testing.T) {
-	// Adversarial inputs around the 8-lane block size: equal runs, runs
-	// straddling block edges, and lengths exactly at multiples of 8.
-	mk := func(start, n, step int) []graph.VertexID {
-		out := make([]graph.VertexID, n)
-		for i := range out {
-			out[i] = graph.VertexID(start + i*step)
-		}
-		return out
+	lens := []int{0, 1, 7, 8, 9, 15, 16, 17, 33}
+	run := func(start, step int) func(int) []graph.VertexID {
+		return func(n int) []graph.VertexID { return mkRun(start, n, step) }
 	}
-	cases := [][2][]graph.VertexID{
-		{mk(0, 16, 1), mk(0, 16, 1)},   // identical, two full blocks
-		{mk(0, 16, 1), mk(8, 16, 1)},   // half-overlap at block edge
-		{mk(0, 24, 2), mk(1, 24, 2)},   // fully interleaved, no matches
-		{mk(0, 8, 1), mk(0, 9, 1)},     // one exactly a block, one not
-		{mk(0, 17, 3), mk(0, 17, 5)},   // coprime strides
-		{mk(0, 8, 100), mk(700, 8, 1)}, // disjoint ranges, block skip path
+	maxima := func(odd bool) func(int) []graph.VertexID {
+		return func(n int) []graph.VertexID { return equalMaxima(n, odd) }
 	}
-	for i, c := range cases {
-		want := refIntersect(c[0], c[1])
-		got := runKernel(KindMergeBlock, c[0], c[1])
-		if len(got) != len(want) {
-			t.Fatalf("case %d: got %v, want %v", i, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("case %d: got %v, want %v", i, got, want)
+	shapes := []struct {
+		name string
+		a, b func(int) []graph.VertexID
+	}{
+		{"all-equal", run(0, 1), run(0, 1)},
+		{"disjoint", run(0, 1), run(1000, 1)},
+		{"interleaved", run(0, 2), run(1, 2)},
+		{"half-overlap", run(0, 1), run(8, 1)},
+		{"coprime", run(0, 3), run(0, 5)},
+		{"equal-maxima", maxima(false), maxima(true)},
+	}
+	bothMergePaths(t, func(t *testing.T) {
+		for _, sh := range shapes {
+			for _, la := range lens {
+				for _, lb := range lens {
+					a, b := sh.a(la), sh.b(lb)
+					want := refIntersect(a, b)
+					for _, args := range [][2][]graph.VertexID{{a, b}, {b, a}} {
+						x, y := args[0], args[1]
+						if got := runKernel(KindMergeBlock, x, y); !sameSet(got, want) {
+							t.Fatalf("%s |a|=%d |b|=%d: got %v, want %v", sh.name, len(x), len(y), got, want)
+						}
+						ax := append([]graph.VertexID(nil), x...)
+						if n := MergeBlock(ax[:0], ax, y); !sameSet(ax[:n], want) {
+							t.Fatalf("%s |a|=%d |b|=%d aliased: got %v, want %v", sh.name, len(x), len(y), ax[:n], want)
+						}
+					}
+				}
 			}
 		}
+	})
+}
+
+// TestMergeBlockUnderCapacityPanics: a dst below min(len(a), len(b))
+// must not reach the unchecked assembly. The Go merge panics on the
+// first write past cap, and the memory past cap keeps its bytes.
+func TestMergeBlockUnderCapacityPanics(t *testing.T) {
+	const sentinel = 0xdeadbeef
+	bothMergePaths(t, func(t *testing.T) {
+		a, b := mkRun(0, 32, 1), mkRun(0, 40, 1)
+		buf := make([]graph.VertexID, 64)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		mustPanic(t, "MergeBlock cap 16 < 32 matches", func() {
+			MergeBlock(buf[:0:16], a, b)
+		})
+		for i := 16; i < len(buf); i++ {
+			if buf[i] != sentinel {
+				t.Fatalf("buf[%d] = %#x past cap 16, want it untouched", i, buf[i])
+			}
+		}
+	})
+}
+
+// sameSet compares two kernel outputs element-wise (nil equals empty).
+func sameSet(got, want []graph.VertexID) bool {
+	if len(got) != len(want) {
+		return false
 	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// fuzzSet decodes bytes into a strictly increasing set: each byte is a
+// gap of 1..8, and bytes from 0xf8 up add a jump of 64, so two decoded
+// sets overlap densely with occasional disjoint stretches.
+func fuzzSet(data []byte) []graph.VertexID {
+	out := make([]graph.VertexID, 0, len(data))
+	v := graph.VertexID(0)
+	for _, c := range data {
+		v += 1 + graph.VertexID(c&7)
+		if c >= 0xf8 {
+			v += 64
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// FuzzMergeBlock checks MergeBlock against the map reference on both
+// paths, with a fresh dst and with dst aliasing a.
+func FuzzMergeBlock(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	f.Add([]byte{0xff, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7}, []byte{7, 6, 5, 4, 3, 2, 1, 0, 0xf8, 7, 6, 5, 4, 3, 2, 1})
+	hw := useAVX2
+	f.Fuzz(func(t *testing.T, x, y []byte) {
+		defer func() { useAVX2 = hw }()
+		a, b := fuzzSet(x), fuzzSet(y)
+		want := refIntersect(a, b)
+		for _, on := range []bool{false, hw} {
+			useAVX2 = on
+			if got := runKernel(KindMergeBlock, a, b); !sameSet(got, want) {
+				t.Fatalf("avx2=%v: got %v, want %v (a=%v b=%v)", on, got, want, a, b)
+			}
+			ax := append([]graph.VertexID(nil), a...)
+			if n := MergeBlock(ax[:0], ax, b); !sameSet(ax[:n], want) {
+				t.Fatalf("avx2=%v aliased: got %v, want %v (a=%v b=%v)", on, ax[:n], want, a, b)
+			}
+		}
+	})
 }

@@ -73,6 +73,9 @@ type Node struct {
 type CallGraph struct {
 	nodes map[*types.Func]*Node
 	order []*types.Func
+	// bodiless holds the module functions declared without a body:
+	// assembly (or linkname) implementations, which get no node.
+	bodiless map[*types.Func]bool
 }
 
 // CallGraph returns the module's call graph, building it on first use.
@@ -93,6 +96,12 @@ func (g *CallGraph) Funcs() []*types.Func {
 // function with a body.
 func (g *CallGraph) Node(fn *types.Func) *Node {
 	return g.nodes[fn]
+}
+
+// Bodiless reports whether fn is a module function declared without a
+// body, i.e. implemented in assembly.
+func (g *CallGraph) Bodiless(fn *types.Func) bool {
+	return g.bodiless[fn]
 }
 
 // Edges returns every edge of the graph, callers in declaration order,
@@ -138,7 +147,7 @@ func (g *CallGraph) Reachable(roots []*types.Func, kinds EdgeKind, skip func(*No
 // buildCallGraph constructs the graph: one pass collecting nodes and the
 // interface-method candidate index, one pass per body emitting edges.
 func buildCallGraph(m *Module) *CallGraph {
-	g := &CallGraph{nodes: map[*types.Func]*Node{}}
+	g := &CallGraph{nodes: map[*types.Func]*Node{}, bodiless: map[*types.Func]bool{}}
 	// methodsByName indexes concrete module methods for interface
 	// dispatch candidates, in declaration order for determinism.
 	methodsByName := map[string][]*types.Func{}
@@ -146,11 +155,15 @@ func buildCallGraph(m *Module) *CallGraph {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
 					continue
 				}
 				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 				if !ok {
+					continue
+				}
+				if fd.Body == nil {
+					g.bodiless[obj] = true
 					continue
 				}
 				g.nodes[obj] = &Node{Fn: obj, Pkg: pkg, Decl: fd}

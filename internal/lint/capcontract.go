@@ -25,9 +25,16 @@ import (
 // whose destination and source are reslices with syntactically
 // identical bounds (copy(dst[:n], src[:n])) is provably
 // non-truncating and exempt.
+//
+// A third operation needs the checked guard even in an annotated
+// function: passing a slice parameter (or a reslice of one) to a
+// function declared without a body. Such a function is assembly with no
+// bounds checks, so under-capacity corrupts memory instead of
+// panicking, and the annotation's "the write panics" contract cannot
+// hold.
 var CapContract = &Analyzer{
 	Name: "capcontract",
-	Doc:  "copies and cap-reslices of caller-supplied slices need a guard or //light:cap-contract",
+	Doc:  "copies and cap-reslices of caller-supplied slices need a guard or //light:cap-contract; passing them to assembly needs a guard",
 	Run:  runCapContract,
 }
 
@@ -50,15 +57,14 @@ func runCapContract(m *Module) []Finding {
 	var findings []Finding
 	for _, fn := range g.Funcs() {
 		n := g.Node(fn)
-		if capContractAnnotated(n.Decl.Doc) {
-			continue
-		}
-		findings = append(findings, checkCapContract(n)...)
+		findings = append(findings, checkCapContract(g, n, capContractAnnotated(n.Decl.Doc))...)
 	}
 	return findings
 }
 
-func checkCapContract(n *Node) []Finding {
+// checkCapContract reports n's unguarded writes into slice parameters.
+// An annotated function is checked only for calls into assembly.
+func checkCapContract(g *CallGraph, n *Node, annotated bool) []Finding {
 	info := n.Pkg.Info
 	isSlice := func(t types.Type) bool {
 		_, ok := t.Underlying().(*types.Slice)
@@ -132,6 +138,26 @@ func checkCapContract(n *Node) []Finding {
 	})
 
 	var findings []Finding
+	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := staticCallee(info, call)
+		if callee == nil || !g.Bodiless(callee) {
+			return true
+		}
+		for _, arg := range call.Args {
+			if obj := paramOf(arg); obj != nil && !guarded[obj] {
+				findings = append(findings, n.Pkg.finding("capcontract", arg,
+					"passes caller-supplied %s to body-less %s, which has no bounds checks; guard len(%s)/cap(%s) in an if condition (//light:cap-contract does not cover it)", obj.Name(), callee.Name(), obj.Name(), obj.Name()))
+			}
+		}
+		return true
+	})
+	if annotated {
+		return findings
+	}
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 		switch node := x.(type) {
 		case *ast.SliceExpr:

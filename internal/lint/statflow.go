@@ -21,8 +21,9 @@ import (
 //     from an instrumented intersect entry point (declared parity,
 //     no actual counting),
 //  4. calling an exported, count-returning intersect kernel that has
-//     no *Stats parameter at all from outside the package (the
-//     pre-instrumentation shape of intersect.Count).
+//     no *Stats parameter at all from outside the package (a kernel
+//     whose intersections never reach Stats, as the since-deleted
+//     counting kernel once did).
 //
 // Passing nil where the enclosing function has no stats sink in scope
 // is legal: uninstrumented probing (approx, planners) is a documented

@@ -19,3 +19,21 @@ func Extend(dst []uint32) []uint32 {
 	}
 	return dst
 }
+
+// fill is implemented in assembly: it writes n elements into dst with no
+// bounds checks.
+func fill(dst []uint32, n int)
+
+// AsmAnnotated hands dst to assembly with nothing checking its length.
+// The annotation documents a panic, but assembly does not panic, so it
+// does not cover the call.
+//
+//light:cap-contract
+func AsmAnnotated(dst []uint32, n int) {
+	fill(dst[:cap(dst)], n) // want capcontract
+}
+
+// AsmUnguarded passes the destination straight through.
+func AsmUnguarded(dst []uint32, n int) {
+	fill(dst, n) // want capcontract
+}

@@ -34,3 +34,23 @@ func Local(n int) []uint32 {
 	buf = buf[:cap(buf)]
 	return buf
 }
+
+// fill is implemented in assembly: it writes n elements into dst with no
+// bounds checks.
+func fill(dst []uint32, n int)
+
+// AsmGuarded checks the capacity in an if condition before handing the
+// destination to assembly — the MergeBlock discipline.
+func AsmGuarded(dst []uint32, n int) {
+	if cap(dst) < n {
+		panic("cc: dst capacity too small")
+	}
+	fill(dst[:cap(dst)], n)
+}
+
+// AsmLocal passes only a locally allocated buffer to assembly.
+func AsmLocal(n int) []uint32 {
+	buf := make([]uint32, n)
+	fill(buf, n)
+	return buf
+}

@@ -378,22 +378,23 @@ func (a Algorithm) mode() plan.Mode {
 }
 
 // Intersection selects the sorted-set intersection kernel (Section
-// VII-A). The Block variants stand in for the paper's AVX2 kernels.
+// VII-A). The Block variants are the paper's AVX2 kernels; on CPUs
+// without AVX2 they run the scalar merge.
 type Intersection int
 
 const (
-	// HybridBlock is Algorithm 4 with the block-skipping merge — the
+	// HybridBlock is Algorithm 4 with the AVX2 block merge — the
 	// paper's production configuration (HybridAVX2) and the default.
 	HybridBlock Intersection = iota
 	// Merge is the scalar two-pointer merge.
 	Merge
-	// MergeBlock is the block-skipping merge (MergeAVX2 stand-in).
+	// MergeBlock is the AVX2 block merge (MergeAVX2).
 	MergeBlock
 	// Galloping always uses exponential search.
 	Galloping
 	// Hybrid is Algorithm 4 with the scalar merge.
 	Hybrid
-	// MergeBitmap is the block-skipping merge with hub-bitmap probing:
+	// MergeBitmap is the AVX2 block merge with hub-bitmap probing:
 	// intersections whose operands include a high-degree hub filter the
 	// smallest operand through the hub's bitmap (O(1) per element)
 	// instead of merging the lists. Falls back to MergeBlock when no

@@ -16,6 +16,10 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> GOARCH=arm64 vet + build (the !amd64 intersection fallback compiles)"
+GOARCH=arm64 go vet ./internal/intersect/
+GOARCH=arm64 go build ./...
+
 echo "==> lightvet ./... (findings -> lightvet-findings.json, 30s budget)"
 # The full analyzer suite must finish well under 30s wall-clock on the
 # whole module — it runs on every CI push, so its cost is part of the
@@ -56,6 +60,9 @@ go test -race -tags faultinject -timeout 10m "${SHORT[@]}" \
 
 echo "==> fuzz smoke: FuzzCSRRoundTrip (10s)"
 go test ./internal/graph/ -run FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
+
+echo "==> fuzz smoke: FuzzMergeBlock (10s, AVX2 and generic paths)"
+go test ./internal/intersect/ -run FuzzMergeBlock -fuzz FuzzMergeBlock -fuzztime 10s
 
 echo "==> lightdiff differential smoke (lane, edge-delta and labeled-entry oracles on)"
 if [[ ${#SHORT[@]} -gt 0 ]]; then

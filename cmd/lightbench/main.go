@@ -1,7 +1,7 @@
 // Command lightbench is the deterministic smoke-benchmark suite behind
 // scripts/bench_gate.sh: P2/P4/P6 on a seeded synthetic graph, serial
-// and 4-thread, plus a hub-bitmap kernel section (HybridBlock vs
-// HybridBitmap on a seeded star-chords graph), a governor-overhead
+// and 4-thread, plus a hub-skew section (HybridBlock on a seeded
+// star-chords graph, serial and 4-thread), a governor-overhead
 // section (the same cell ungoverned and under an uncontended Governor,
 // gated on counter parity), and a catalog-throughput section (the full
 // P1..P7 catalog over a minimum-degree ladder, lane-batched vs a
@@ -48,18 +48,17 @@ const (
 
 var benchPatterns = []string{"P2", "P4", "P6"}
 
-// The bitmap section's graph: a seeded star-with-chords, whose hub
-// vertex dominates every intersection — the shape the hub-bitmap index
-// targets. Large enough that the serial wall time is well above timer
-// noise, so the HybridBlock→HybridBitmap speedup is measurable.
+// The skew section's graph: a seeded star-with-chords, whose hub vertex
+// is adjacent to every other vertex and so sits in every intersection —
+// the extreme cardinality skew Hybrid's galloping branch exists for.
 const (
-	bitmapDataset = "star-chords"
-	bitmapLeaves  = 4000
-	bitmapChords  = 24000
-	bitmapSeed    = 7
+	skewDataset = "star-chords"
+	skewLeaves  = 4000
+	skewChords  = 24000
+	skewSeed    = 7
 )
 
-var bitmapPatterns = []string{"triangle", "P2"}
+var skewPatterns = []string{"triangle", "P2"}
 
 func main() {
 	out := flag.String("out", "BENCH_smoke.json", "report output path")
@@ -119,18 +118,16 @@ func runSuite() (*metrics.BenchReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s 4T: %w", name, err)
 		}
-		if serial.Matches != par.Matches || serial.Nodes != par.Nodes ||
-			serial.Comps != par.Comps || serial.Intersections != par.Intersections ||
-			serial.Galloping != par.Galloping || serial.Elements != par.Elements {
+		if !sameCounters(serial, par) {
 			return nil, fmt.Errorf("%s: determinism self-check failed: serial %+v vs 4T %+v", name, serial, par)
 		}
 		rows = append(rows, serial, par)
 	}
-	bitmapRows, err := runBitmapSection()
+	skewRows, err := runSkewSection()
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, bitmapRows...)
+	rows = append(rows, skewRows...)
 	govRows, err := runGovernorSection(g)
 	if err != nil {
 		return nil, err
@@ -142,11 +139,11 @@ func runSuite() (*metrics.BenchReport, error) {
 	}
 	rows = append(rows, catalogRows...)
 	return metrics.NewBenchReport("smoke", map[string]string{
-		"dataset":        benchDataset,
-		"scale":          fmt.Sprint(benchScale),
-		"bitmap_dataset": fmt.Sprintf("%s(%d,%d,%d)", bitmapDataset, bitmapLeaves, bitmapChords, bitmapSeed),
-		"governor":       fmt.Sprintf("slots=%d pattern=%s", govSlots, govPattern),
-		"catalog":        fmt.Sprintf("ladder=%v workers=%d", catalogMinDegrees, catalogWorkers),
+		"dataset":      benchDataset,
+		"scale":        fmt.Sprint(benchScale),
+		"skew_dataset": fmt.Sprintf("%s(%d,%d,%d)", skewDataset, skewLeaves, skewChords, skewSeed),
+		"governor":     fmt.Sprintf("slots=%d pattern=%s", govSlots, govPattern),
+		"catalog":      fmt.Sprintf("ladder=%v workers=%d", catalogMinDegrees, catalogWorkers),
 	}, rows), nil
 }
 
@@ -237,7 +234,13 @@ func addReport(row *metrics.BenchRow, r *light.RunReport) {
 	row.Intersections += r.Intersections
 	row.Galloping += r.Galloping
 	row.Elements += r.Elements
-	row.BitmapProbes += r.BitmapProbes
+}
+
+// sameCounters reports whether two rows carry identical deterministic
+// work counters.
+func sameCounters(a, b metrics.BenchRow) bool {
+	return a.Matches == b.Matches && a.Nodes == b.Nodes && a.Comps == b.Comps &&
+		a.Intersections == b.Intersections && a.Galloping == b.Galloping && a.Elements == b.Elements
 }
 
 // The governor section's configuration: one pattern from the main
@@ -288,14 +291,11 @@ func runGovernorSection(g *light.Graph) ([]metrics.BenchRow, error) {
 		Intersections: r.Intersections,
 		Galloping:     r.Galloping,
 		Elements:      r.Elements,
-		BitmapProbes:  r.BitmapProbes,
 		Slots:         r.SlotsGranted,
 		MemoryBytes:   r.CandidateMemoryBytes,
 	}
 
-	if governed.Matches != bare.Matches || governed.Nodes != bare.Nodes ||
-		governed.Comps != bare.Comps || governed.Intersections != bare.Intersections ||
-		governed.Galloping != bare.Galloping || governed.Elements != bare.Elements {
+	if !sameCounters(governed, bare) {
 		return nil, fmt.Errorf("governor section: counter parity failed: ungoverned %+v vs governed %+v", bare, governed)
 	}
 	if governed.Slots != govSlots {
@@ -310,15 +310,12 @@ func runGovernorSection(g *light.Graph) ([]metrics.BenchRow, error) {
 	return []metrics.BenchRow{bare, governed}, nil
 }
 
-// runBitmapSection benchmarks the hub-bitmap kernel against its list
-// fallback on the star-chords graph, with the same serial-vs-parallel
-// counter self-check as the main section plus two of its own: the two
-// kernels must agree on matches, and the bitmap kernel must actually
-// probe (a silent fall-back to the list path would quietly hollow the
-// benchmark out). The speedup itself is wall-clock and therefore
-// advisory — it is printed, not gated.
-func runBitmapSection() ([]metrics.BenchRow, error) {
-	ig := gen.StarChords(bitmapLeaves, bitmapChords, bitmapSeed)
+// runSkewSection runs HybridBlock on the star-chords graph, serial and
+// 4-thread, with the same serial-vs-parallel counter self-check as the
+// main section. Every intersection here is cardinality-skewed against
+// the hub, so the gated counters pin Hybrid's galloping dispatch.
+func runSkewSection() ([]metrics.BenchRow, error) {
+	ig := gen.StarChords(skewLeaves, skewChords, skewSeed)
 	edges := make([][2]light.VertexID, 0, ig.NumEdges())
 	for v := 0; v < ig.NumVertices(); v++ {
 		for _, w := range ig.Neighbors(light.VertexID(v)) {
@@ -330,47 +327,23 @@ func runBitmapSection() ([]metrics.BenchRow, error) {
 	g := light.NewGraph(ig.NumVertices(), edges)
 
 	var rows []metrics.BenchRow
-	for _, name := range bitmapPatterns {
+	for _, name := range skewPatterns {
 		p, err := light.PatternByName(name)
 		if err != nil {
 			return nil, err
 		}
-		var wallList, wallBitmap int64
-		var matchesList, matchesBitmap uint64
-		for _, kernel := range []light.Intersection{light.HybridBlock, light.HybridBitmap} {
-			serial, err := runKernelCell(g, p, bitmapDataset, kernel, 1)
-			if err != nil {
-				return nil, fmt.Errorf("%s %v serial: %w", name, kernel, err)
-			}
-			par, err := runKernelCell(g, p, bitmapDataset, kernel, 4)
-			if err != nil {
-				return nil, fmt.Errorf("%s %v 4T: %w", name, kernel, err)
-			}
-			if serial.Matches != par.Matches || serial.Nodes != par.Nodes ||
-				serial.Comps != par.Comps || serial.Intersections != par.Intersections ||
-				serial.Galloping != par.Galloping || serial.Elements != par.Elements ||
-				serial.BitmapProbes != par.BitmapProbes {
-				return nil, fmt.Errorf("%s/%v: determinism self-check failed: serial %+v vs 4T %+v", name, kernel, serial, par)
-			}
-			if kernel == light.HybridBitmap {
-				if serial.BitmapProbes == 0 {
-					return nil, fmt.Errorf("%s: HybridBitmap recorded zero bitmap probes on a hub graph", name)
-				}
-				wallBitmap, matchesBitmap = serial.WallNS, serial.Matches
-			} else {
-				if serial.BitmapProbes != 0 {
-					return nil, fmt.Errorf("%s: list kernel recorded %d bitmap probes", name, serial.BitmapProbes)
-				}
-				wallList, matchesList = serial.WallNS, serial.Matches
-			}
-			rows = append(rows, serial, par)
+		serial, err := runKernelCell(g, p, skewDataset, light.HybridBlock, 1)
+		if err != nil {
+			return nil, fmt.Errorf("%s skew serial: %w", name, err)
 		}
-		if matchesList != matchesBitmap {
-			return nil, fmt.Errorf("%s: HybridBitmap found %d matches, HybridBlock %d", name, matchesBitmap, matchesList)
+		par, err := runKernelCell(g, p, skewDataset, light.HybridBlock, 4)
+		if err != nil {
+			return nil, fmt.Errorf("%s skew 4T: %w", name, err)
 		}
-		fmt.Printf("bitmap section %s: HybridBlock %v, HybridBitmap %v (%.1f%% faster, advisory)\n",
-			name, time.Duration(wallList), time.Duration(wallBitmap),
-			100*(1-float64(wallBitmap)/float64(wallList)))
+		if !sameCounters(serial, par) {
+			return nil, fmt.Errorf("%s/skew: determinism self-check failed: serial %+v vs 4T %+v", name, serial, par)
+		}
+		rows = append(rows, serial, par)
 	}
 	return rows, nil
 }
@@ -390,7 +363,7 @@ func runCell(g *light.Graph, p *light.Pattern, workers int) (metrics.BenchRow, e
 }
 
 // runKernelCell measures one (pattern, kernel, workers) cell; the
-// system name carries the kernel so bitmap rows gate separately.
+// system name carries the kernel and the worker count.
 func runKernelCell(g *light.Graph, p *light.Pattern, dataset string, kernel light.Intersection, workers int) (metrics.BenchRow, error) {
 	res, err := light.Count(g, p, light.Options{Workers: workers, Intersection: kernel})
 	if err != nil {
@@ -412,7 +385,6 @@ func runKernelCell(g *light.Graph, p *light.Pattern, dataset string, kernel ligh
 		Intersections: r.Intersections,
 		Galloping:     r.Galloping,
 		Elements:      r.Elements,
-		BitmapProbes:  r.BitmapProbes,
 		MemoryBytes:   r.CandidateMemoryBytes,
 	}, nil
 }

@@ -51,7 +51,7 @@ func main() {
 	scale := flag.Int("scale", 1, "scale for built-in datasets")
 	algoName := flag.String("algo", "LIGHT", "algorithm: SE, LM, MSC, LIGHT")
 	workers := flag.Int("workers", 1, "worker threads (>1 enables work stealing)")
-	kernel := flag.String("kernel", "HybridBlock", "intersection: Merge, MergeBlock, Galloping, Hybrid, HybridBlock, MergeBitmap, HybridBitmap")
+	kernel := flag.String("kernel", "HybridBlock", "intersection: Merge, MergeBlock, Galloping, Hybrid, HybridBlock")
 	timeout := flag.Duration("timeout", 0, "abort after this long (0 = unlimited)")
 	printN := flag.Int("print", 0, "print the first N matches")
 	outPath := flag.String("out", "", "stream all matches to this file (one line per match)")
@@ -482,7 +482,7 @@ func parseAlgo(s string) (light.Algorithm, error) {
 }
 
 func parseKernel(s string) (light.Intersection, error) {
-	for _, k := range []light.Intersection{light.HybridBlock, light.Merge, light.MergeBlock, light.Galloping, light.Hybrid, light.MergeBitmap, light.HybridBitmap} {
+	for _, k := range []light.Intersection{light.HybridBlock, light.Merge, light.MergeBlock, light.Galloping, light.Hybrid} {
 		if strings.EqualFold(k.String(), s) {
 			return k, nil
 		}

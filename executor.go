@@ -109,14 +109,6 @@ func execute(ctx context.Context, g *Graph, opts Options, q query) (BatchResult,
 		lq[i] = lanes.Query{Plan: pl, Spec: m.spec}
 		maxVerts = max(maxVerts, m.p.NumVertices())
 	}
-	if opts.HubDegreeThreshold > 0 {
-		// First-wins preparation: the first query to request a τ on this
-		// graph rebuilds the index once; concurrent and later queries —
-		// even with a conflicting τ — share that build instead of
-		// thrashing rebuilds (see graph.EnsureHubIndex).
-		st.base.EnsureHubIndex(opts.HubDegreeThreshold)
-	}
-
 	rec := metrics.NewRecorder()
 	filter := opts.Filter
 	if q.filter != nil {

@@ -103,8 +103,11 @@ func (o Options) validate() error {
 	if o.AdmissionTimeout < 0 {
 		return fmt.Errorf("light: Options.AdmissionTimeout is %v, must be non-negative (0 waits until the context is done)", o.AdmissionTimeout)
 	}
-	if o.HubDegreeThreshold < 0 {
-		return fmt.Errorf("light: Options.HubDegreeThreshold is %d, must be non-negative (0 keeps the auto-tuned index)", o.HubDegreeThreshold)
+	if o.Algorithm < LIGHT || o.Algorithm > MSC {
+		return fmt.Errorf("light: Options.Algorithm is %d, must be LIGHT, SE, LM or MSC", o.Algorithm)
+	}
+	if o.Intersection < HybridBlock || o.Intersection > Hybrid {
+		return fmt.Errorf("light: Options.Intersection is %d, must be HybridBlock, Merge, MergeBlock, Galloping or Hybrid", o.Intersection)
 	}
 	return nil
 }

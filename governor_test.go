@@ -29,7 +29,9 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative checkpoint interval", Options{CheckpointInterval: -time.Second}, "CheckpointInterval"},
 		{"negative memory budget", Options{MemoryBudget: -1}, "MemoryBudget"},
 		{"negative admission timeout", Options{AdmissionTimeout: -time.Second}, "AdmissionTimeout"},
-		{"negative hub degree threshold", Options{HubDegreeThreshold: -1}, "HubDegreeThreshold"},
+		{"removed bitmap intersection", Options{Intersection: 5}, "Intersection"},
+		{"unknown intersection", Options{Intersection: 99}, "Intersection"},
+		{"unknown algorithm", Options{Algorithm: 99}, "Algorithm"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

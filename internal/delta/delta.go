@@ -12,10 +12,7 @@
 // Correctness note: mutated views are generally no longer degree-ordered
 // (a "LIGHT ordered graph"). That is safe — the symmetry-breaking
 // machinery requires only a fixed total order on vertex IDs, which any
-// labeling provides; degree order is a performance heuristic. Hub
-// bitmaps, however, are built from the base CSR, so the engine must not
-// probe the bitmap of a vertex whose neighbor list the overlay changed
-// (HubBitmap returns nil for touched vertices).
+// labeling provides; degree order is a performance heuristic.
 package delta
 
 import (
@@ -101,15 +98,6 @@ func (o *Overlay) Empty() bool { return o.DeltaEdges() == 0 && o.n == o.base.Num
 // vertex lost edges; callers use it only to size candidate buffers, so
 // an upper bound is always safe.
 func (o *Overlay) MaxDegree() int { return o.maxDegree }
-
-// Touched reports whether v's neighbor list differs from the base CSR
-// (always true for vertices the base does not have). The engine uses it
-// to suppress stale hub-bitmap probes.
-//
-//light:hotpath
-func (o *Overlay) Touched(v graph.VertexID) bool {
-	return o.touched[v>>6]&(uint64(1)<<(v&63)) != 0
-}
 
 // Neighbors returns v's sorted neighbor list in the overlay view. The
 // returned slice aliases overlay or base storage; do not modify.
@@ -469,7 +457,7 @@ func (w view) hasEdge(u, v graph.VertexID, n int) bool {
 // adjacency and — crucially — identical vertex IDs: no degree
 // reordering, so match results, pinned snapshots, and caller-held
 // vertex IDs stay comparable across compaction. The new graph computes
-// its own content fingerprint and auto-builds its own hub index.
+// its own content fingerprint.
 func Compact(o *Overlay) (*graph.Graph, error) {
 	if o == nil {
 		return nil, fmt.Errorf("delta: Compact requires an overlay")

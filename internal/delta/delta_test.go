@@ -62,7 +62,7 @@ func TestApplyBasic(t *testing.T) {
 	if o.DeltaEdges() != 3 {
 		t.Errorf("DeltaEdges = %d, want 3", o.DeltaEdges())
 	}
-	if o.Touched(0) != true || o.Touched(3) != true {
+	if want := uint64(1) | 1<<3; o.touched[0]&want != want {
 		t.Error("endpoints of changed edges must be touched")
 	}
 }

@@ -94,46 +94,26 @@ type engineVariant struct {
 	opts engine.Options
 }
 
-func kernelName(k intersect.Kind) string {
-	switch k {
-	case intersect.KindMerge:
-		return "Merge"
-	case intersect.KindMergeBlock:
-		return "MergeBlock"
-	case intersect.KindGalloping:
-		return "Galloping"
-	case intersect.KindHybrid:
-		return "Hybrid"
-	case intersect.KindHybridBlock:
-		return "HybridBlock"
-	case intersect.KindMergeBitmap:
-		return "MergeBitmap"
-	case intersect.KindHybridBitmap:
-		return "HybridBitmap"
-	}
-	return fmt.Sprintf("Kind(%d)", k)
-}
-
 func variants(quick bool) []engineVariant {
 	kernels := []intersect.Kind{
 		intersect.KindMerge, intersect.KindMergeBlock, intersect.KindGalloping,
 		intersect.KindHybrid, intersect.KindHybridBlock,
-		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
 	}
 	if quick {
-		// The cheap core: the default kernel, the all-features-on corner
-		// of the cube, and the bitmap-probe path.
+		// The cheap core: the engine's zero-value kernel, the
+		// all-features-on corner of the cube, and the library default
+		// HybridBlock, whose merge is the AVX2 assembly where available.
 		return []engineVariant{
 			{"kernel=Merge", engine.Options{}},
 			{"kernel=Hybrid,tc,df", engine.Options{Kernel: intersect.KindHybrid, TailCount: true, DegreeFilter: true}},
-			{"kernel=HybridBitmap", engine.Options{Kernel: intersect.KindHybridBitmap}},
+			{"kernel=HybridBlock", engine.Options{Kernel: intersect.KindHybridBlock}},
 		}
 	}
 	var vs []engineVariant
 	for _, k := range kernels {
 		for _, tc := range []bool{false, true} {
 			for _, df := range []bool{false, true} {
-				name := "kernel=" + kernelName(k)
+				name := "kernel=" + k.String()
 				if tc {
 					name += ",tc"
 				}
@@ -170,13 +150,6 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 	if err != nil {
 		out.Skipped, out.Reason = true, err.Error()
 		return out, nil
-	}
-	// Differential graphs are tiny, far below the auto hub threshold, so
-	// derive a small τ from the seed: most cases get indexed hubs (the
-	// bitmap kernels' probe path), the rest keep the auto index and
-	// exercise the list fallback.
-	if c.Seed%4 != 0 {
-		g.BuildHubIndex(1 + int(uint64(c.Seed)%7))
 	}
 	po := pattern.SymmetryBreaking(p)
 	orders := plan.ConnectedOrders(p, po)
@@ -439,7 +412,6 @@ func counterDiff(s, p engine.Result) string {
 	add("Stats.Intersections", s.Stats.Intersections, p.Stats.Intersections)
 	add("Stats.Galloping", s.Stats.Galloping, p.Stats.Galloping)
 	add("Stats.Elements", s.Stats.Elements, p.Stats.Elements)
-	add("Stats.BitmapProbes", s.Stats.BitmapProbes, p.Stats.BitmapProbes)
 	return strings.Join(diffs, "; ")
 }
 

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"light/internal/arena"
-	"light/internal/bitset"
 	"light/internal/delta"
 	"light/internal/graph"
 	"light/internal/intersect"
@@ -139,11 +138,9 @@ type Options struct {
 	// Overlay, when non-nil, is the copy-on-write edge-delta view the
 	// enumerator reads adjacency through instead of the raw CSR: touched
 	// vertices resolve to the overlay's merged lists, untouched vertices
-	// read the base graph directly, and hub-bitmap probes are suppressed
-	// for touched vertices (their base bitmaps are stale). The overlay's
-	// base must be the graph passed to New. When nil — the common case —
-	// every adjacency read takes the direct CSR path at the cost of one
-	// nil check.
+	// read the base graph directly. The overlay's base must be the graph
+	// passed to New. When nil — the common case — every adjacency read
+	// takes the direct CSR path at the cost of one nil check.
 	Overlay *delta.Overlay
 	// Lanes, when non-nil, switches the enumerator into bit-parallel
 	// lane mode: it walks the plan's search tree once for the whole
@@ -208,7 +205,6 @@ func (r *Result) AddTo(m *metrics.Recorder) {
 	m.Add(metrics.IntersectGalloping, r.Stats.Galloping)
 	m.Add(metrics.IntersectMerge, r.Stats.Intersections-r.Stats.Galloping)
 	m.Add(metrics.IntersectElements, r.Stats.Elements)
-	m.Add(metrics.IntersectBitmapProbes, r.Stats.BitmapProbes)
 }
 
 // MatHook, when non-nil, is invoked at the start of every non-root MAT
@@ -251,12 +247,8 @@ type Enumerator struct {
 	bufs    [][]graph.VertexID
 	scratch []graph.VertexID
 	setsTmp [][]graph.VertexID
-	bmsTmp  []*bitset.Bitmap
 	ar      *arena.Arena
 	dmax    int
-	// useBitmaps caches opts.Kernel.UsesBitmaps(): when set, compute
-	// probes the graph's hub index for K1 operands.
-	useBitmaps bool
 
 	// Lane mode state: lanes aliases opts.Lanes (nil check per
 	// candidate), alive is the mask of lanes live on the current search
@@ -273,8 +265,8 @@ type Enumerator struct {
 	// polls counts checkDeadline calls; the poll cadence is keyed to it
 	// rather than to Result.Nodes, which tailCount advances in batches
 	// that can step over any fixed residue forever.
-	polls    uint64
-	err      error
+	polls uint64
+	err   error
 }
 
 // New prepares an Enumerator for repeated runs of pl over g. It panics
@@ -311,24 +303,22 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		dmax = opts.Overlay.MaxDegree()
 	}
 	return &Enumerator{
-		g:          g,
-		ov:         opts.Overlay,
-		pl:         pl,
-		opts:       opts,
-		assigned:   make([]graph.VertexID, n),
-		cand:       make([][]graph.VertexID, n),
-		bufs:       make([][]graph.VertexID, n),
-		setsTmp:    make([][]graph.VertexID, 0, n),
-		bmsTmp:     make([]*bitset.Bitmap, 0, n),
-		ar:         ar,
-		dmax:       dmax,
-		useBitmaps: opts.Kernel.UsesBitmaps(),
-		lanes:      opts.Lanes,
-		laneBuf:    laneBuf,
+		g:        g,
+		ov:       opts.Overlay,
+		pl:       pl,
+		opts:     opts,
+		assigned: make([]graph.VertexID, n),
+		cand:     make([][]graph.VertexID, n),
+		bufs:     make([][]graph.VertexID, n),
+		setsTmp:  make([][]graph.VertexID, 0, n),
+		ar:       ar,
+		dmax:     dmax,
+		lanes:    opts.Lanes,
+		laneBuf:  laneBuf,
 	}
 }
 
-// numVertices, degree, neighbors, and hubBitmap are the enumerator's
+// numVertices, degree, and neighbors are the enumerator's
 // adjacency reads: overlay-aware when Options.Overlay is set, one nil
 // check and a direct CSR call otherwise (the zero-cost fast path for
 // unmutated graphs).
@@ -355,19 +345,6 @@ func (e *Enumerator) neighbors(v graph.VertexID) []graph.VertexID {
 		return e.ov.Neighbors(v)
 	}
 	return e.g.Neighbors(v)
-}
-
-// hubBitmap returns the hub bitmap usable for v's neighbor list, or nil.
-// A vertex the overlay touched must not probe its base bitmap — the
-// bitmap encodes the pre-mutation list and would silently corrupt
-// intersections — so touched vertices always fall back to list kernels.
-//
-//light:hotpath
-func (e *Enumerator) hubBitmap(v graph.VertexID) *bitset.Bitmap {
-	if e.ov != nil && e.ov.Touched(v) {
-		return nil
-	}
-	return e.g.HubBitmap(v)
 }
 
 // Plan returns the plan the enumerator executes.
@@ -722,25 +699,6 @@ func (e *Enumerator) computeShared(u int) bool {
 		return false
 	}
 	sets := e.setsTmp[:0]
-	if e.useBitmaps {
-		// Bitmap-probe path: collect the hub bitmap (or nil) of every K1
-		// operand in lockstep with sets; K2 cached candidates never have
-		// bitmap form. With no hub among the operands this degrades to
-		// the plain list call below via MultiWayBitmap's fallback.
-		bms := e.bmsTmp[:0]
-		for _, w := range ops.K1 {
-			v := e.assigned[w]
-			sets = append(sets, e.neighbors(v))
-			bms = append(bms, e.hubBitmap(v))
-		}
-		for _, w := range ops.K2 {
-			sets = append(sets, e.cand[w])
-			bms = append(bms, nil)
-		}
-		n := intersect.MultiWayBitmap(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
-		e.cand[u] = dst[:n]
-		return n > 0
-	}
 	for _, w := range ops.K1 {
 		sets = append(sets, e.neighbors(e.assigned[w]))
 	}

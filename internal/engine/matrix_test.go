@@ -36,14 +36,9 @@ func TestTailCountDegreeFilterEquality(t *testing.T) {
 		{"starchords", gen.StarChords(40, 60, 5)},
 		{"ties", gen.DegreeTies(5, 6, 3)},
 	}
-	// Small τ so these small graphs carry indexed hubs and the bitmap
-	// kernels exercise the probe path, not just the list fallback.
-	for _, tg := range graphs {
-		tg.g.BuildHubIndex(3)
-	}
 	kernels := []intersect.Kind{
 		intersect.KindMerge, intersect.KindHybrid,
-		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
+		intersect.KindMergeBlock, intersect.KindHybridBlock,
 	}
 	for _, tg := range graphs {
 		for _, p := range pattern.Catalog() {

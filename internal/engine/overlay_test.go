@@ -27,9 +27,8 @@ func materialize(t *testing.T, ov *delta.Overlay) *graph.Graph {
 	return b.Build()
 }
 
-// TestOverlayMatchesMaterialized runs every kernel (bitmap kernels
-// included) over overlay views of several generated graphs and checks
-// the counts against a from-scratch rebuild of the same adjacency. The
+// TestOverlayMatchesMaterialized runs four kernels over overlay views
+// of several generated graphs and checks the counts against a from-scratch rebuild of the same adjacency. The
 // rebuild keeps identical vertex IDs (Builder, no reorder), so the two
 // runs walk the same symmetry-broken search tree and must agree exactly.
 func TestOverlayMatchesMaterialized(t *testing.T) {
@@ -46,7 +45,7 @@ func TestOverlayMatchesMaterialized(t *testing.T) {
 	}
 	kernels := []intersect.Kind{
 		intersect.KindMerge, intersect.KindHybridBlock,
-		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
+		intersect.KindMergeBlock, intersect.KindGalloping,
 	}
 	for name, g := range graphs {
 		n := g.NumVertices()

@@ -2,6 +2,19 @@ package graph
 
 import "testing"
 
+// starGraph builds a star: center 0 with the given number of leaves,
+// plus optional chord edges among leaves.
+func starGraph(leaves int, chords [][2]VertexID) *Graph {
+	b := NewBuilder(leaves + 1)
+	for i := 1; i <= leaves; i++ {
+		b.AddEdge(0, VertexID(i))
+	}
+	for _, c := range chords {
+		b.AddEdge(c[0], c[1])
+	}
+	return b.Build()
+}
+
 func TestFingerprintIdentifiesSnapshot(t *testing.T) {
 	g1 := starGraph(50, [][2]VertexID{{1, 2}})
 	g2 := starGraph(50, [][2]VertexID{{1, 2}})

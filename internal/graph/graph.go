@@ -15,7 +15,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // VertexID identifies a data vertex. The paper stores IDs as 32-bit
@@ -34,17 +33,6 @@ type Graph struct {
 	// cardinality estimator. Cached at construction.
 	degreeSum2 float64
 	degreeSum3 float64
-
-	// hub is the degree-threshold bitmap index over high-degree
-	// neighbor lists (see hub.go); auto-built by finalize, rebuilt or
-	// dropped via BuildHubIndex. Published atomically so hot-path
-	// readers (HubBitmap) never observe a partial rebuild; hubMu
-	// serializes builds, and hubPinned (guarded by hubMu) records that
-	// an explicit τ won the first-wins EnsureHubIndex race.
-	hub       atomic.Pointer[hubIndex]
-	hubMu     sync.Mutex
-	hubPinned bool
-	hubBuilds atomic.Uint64
 
 	// fp is the lazily computed content fingerprint (see Fingerprint).
 	fpOnce sync.Once
@@ -152,8 +140,7 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// finalize recomputes the cached degree statistics and auto-builds the
-// hub bitmap index.
+// finalize recomputes the cached degree statistics.
 func (g *Graph) finalize() {
 	g.maxDegree = 0
 	g.degreeSum2 = 0
@@ -167,12 +154,6 @@ func (g *Graph) finalize() {
 		g.degreeSum2 += fd * fd
 		g.degreeSum3 += fd * fd * fd
 	}
-	// Auto-build the hub index without pinning: the construction-time
-	// default must not win the EnsureHubIndex first-τ race against a
-	// query's explicit HubDegreeThreshold.
-	g.hubMu.Lock()
-	g.buildHubLocked(0)
-	g.hubMu.Unlock()
 }
 
 // Edge is an undirected edge between two data vertices.

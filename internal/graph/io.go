@@ -216,7 +216,7 @@ func ReadCSR(r io.Reader) (*Graph, error) {
 		}
 	}
 	// Validate before finalize: finalize slices adjacency through the
-	// offsets (degree stats, hub bitmaps), so corrupt offsets must be
+	// offsets (degree stats), so corrupt offsets must be
 	// rejected first — a version-1 file has no CRC to catch them.
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: corrupt CSR payload: %w", err)

@@ -40,12 +40,6 @@ const (
 	// KindHybridBlock is Algorithm 4 with MergeBlock — the paper's
 	// HybridAVX2.
 	KindHybridBlock
-	// KindMergeBitmap probes hub bitmaps for high-degree K1 operands and
-	// falls back to MergeBlock between plain lists (see MultiWayBitmap).
-	KindMergeBitmap
-	// KindHybridBitmap probes hub bitmaps and falls back to HybridBlock
-	// between plain lists — the production bitmap configuration.
-	KindHybridBitmap
 )
 
 // String returns the kernel name as used in the paper's figures.
@@ -61,34 +55,13 @@ func (k Kind) String() string {
 		return "Hybrid"
 	case KindHybridBlock:
 		return "HybridBlock"
-	case KindMergeBitmap:
-		return "MergeBitmap"
-	case KindHybridBitmap:
-		return "HybridBitmap"
 	}
 	return "Unknown"
 }
 
-// ListFallback returns the pure list kernel a bitmap kind degrades to
-// when no operand has a hub bitmap; non-bitmap kinds return themselves.
-func (k Kind) ListFallback() Kind {
-	switch k {
-	case KindMergeBitmap:
-		return KindMergeBlock
-	case KindHybridBitmap:
-		return KindHybridBlock
-	}
-	return k
-}
-
-// UsesBitmaps reports whether k is one of the bitmap-probing kinds.
-func (k Kind) UsesBitmaps() bool {
-	return k == KindMergeBitmap || k == KindHybridBitmap
-}
-
 // ParseKind maps a kernel name (as printed by String) to its Kind.
 func ParseKind(s string) (Kind, bool) {
-	for k := KindMerge; k <= KindHybridBitmap; k++ {
+	for k := KindMerge; k <= KindHybridBlock; k++ {
 		if k.String() == s {
 			return k, true
 		}
@@ -103,7 +76,6 @@ type Stats struct {
 	Intersections uint64 // total pairwise intersection operations
 	Galloping     uint64 // how many of them used the galloping path
 	Elements      uint64 // total input elements scanned (len(a)+len(b) per op)
-	BitmapProbes  uint64 // elements probed against hub bitmaps
 }
 
 // Add accumulates other into s.
@@ -111,7 +83,6 @@ func (s *Stats) Add(other Stats) {
 	s.Intersections += other.Intersections
 	s.Galloping += other.Galloping
 	s.Elements += other.Elements
-	s.BitmapProbes += other.BitmapProbes
 }
 
 // Sub returns the counter-wise difference s − before; both must come
@@ -124,7 +95,6 @@ func (s Stats) Sub(before Stats) Stats {
 		Intersections: s.Intersections - before.Intersections,
 		Galloping:     s.Galloping - before.Galloping,
 		Elements:      s.Elements - before.Elements,
-		BitmapProbes:  s.BitmapProbes - before.BitmapProbes,
 	}
 }
 
@@ -148,9 +118,6 @@ func Pair(dst, a, b []graph.VertexID, k Kind, delta int, stats *Stats) int {
 		stats.Intersections++
 		stats.Elements += uint64(len(a) + len(b))
 	}
-	// Pair has no bitmap operands; bitmap kinds run their list fallback
-	// here (MultiWayBitmap is the bitmap-aware entry point).
-	k = k.ListFallback()
 	switch k {
 	case KindMerge:
 		return Merge(dst, a, b)
@@ -360,7 +327,7 @@ func MultiWay(dst, scratch []graph.VertexID, sets [][]graph.VertexID, k Kind, de
 	return n
 }
 
-// copySingle is the one-operand case of the multiway kernels: the
+// copySingle is the one-operand case of MultiWay: the
 // intersection of a single set is the set itself. The capacity contract
 // (cap(dst) >= the minimum set length — here the only set) is enforced
 // rather than assumed: a bare copy(dst[:cap(dst)], s) would silently

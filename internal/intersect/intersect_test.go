@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"light/internal/bitset"
 	"light/internal/graph"
 )
 
@@ -62,9 +61,8 @@ func runKernel(k Kind, a, b []graph.VertexID) []graph.VertexID {
 	return dst[:n]
 }
 
-// allKinds includes the bitmap kinds: through Pair they must behave
-// exactly like their list fallbacks (Pair has no bitmap operands).
-var allKinds = []Kind{KindMerge, KindMergeBlock, KindGalloping, KindHybrid, KindHybridBlock, KindMergeBitmap, KindHybridBitmap}
+// allKinds is every kernel Pair dispatches to.
+var allKinds = []Kind{KindMerge, KindMergeBlock, KindGalloping, KindHybrid, KindHybridBlock}
 
 // bothMergePaths runs f as one subtest per MergeBlock path: "generic"
 // with the assembly kernel off, then "avx2" with it on (skipped on CPUs
@@ -238,10 +236,6 @@ func TestMultiWayCapacityEdges(t *testing.T) {
 	if n := MultiWay(nil, nil, sets(ids(1, 2), ids(), ids(3)), KindMerge, DefaultDelta, nil); n != 0 {
 		t.Fatalf("k sets with empty operand: n = %d", n)
 	}
-	// MultiWayBitmap shares the single-set contract.
-	mustPanic(t, "MultiWayBitmap 1 set cap 0 < len 2", func() {
-		MultiWayBitmap(nil, nil, sets(ids(1, 2)), make([]*bitset.Bitmap, 1), KindHybridBitmap, DefaultDelta, nil)
-	})
 }
 
 func TestContains(t *testing.T) {

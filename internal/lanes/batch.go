@@ -186,7 +186,6 @@ func foldGroup(grp []int, lanes []engine.LaneCounts, recorders []*metrics.Record
 		rec.Add(metrics.IntersectGalloping, lc.Stats.Galloping)
 		rec.Add(metrics.IntersectMerge, lc.Stats.Intersections-lc.Stats.Galloping)
 		rec.Add(metrics.IntersectElements, lc.Stats.Elements)
-		rec.Add(metrics.IntersectBitmapProbes, lc.Stats.BitmapProbes)
 	}
 	return nil
 }

@@ -20,7 +20,6 @@ import (
 // and the recorder fold all sit on this path.
 func TestBatchRunParity(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 4, 17)
-	g.BuildHubIndex(3)
 	var firstHalf []graph.VertexID
 	for v := 0; v < g.NumVertices()/2; v++ {
 		firstHalf = append(firstHalf, graph.VertexID(v))

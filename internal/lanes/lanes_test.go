@@ -84,10 +84,7 @@ func TestLaneParityMatrix(t *testing.T) {
 		{"ba", gen.BarabasiAlbert(120, 3, 9)},
 		{"starchords", gen.StarChords(40, 60, 5)},
 	}
-	for _, tg := range graphs {
-		tg.g.BuildHubIndex(3)
-	}
-	kernels := []intersect.Kind{intersect.KindHybrid, intersect.KindHybridBitmap}
+	kernels := []intersect.Kind{intersect.KindHybrid, intersect.KindHybridBlock}
 	for _, tg := range graphs {
 		specs := laneSpecs(tg.g)
 		for _, p := range pattern.Catalog() {

@@ -14,7 +14,7 @@ import (
 // BenchSchema is the version tag every BENCH_*.json file carries. Bump
 // it when the file layout changes incompatibly; the gate refuses to
 // compare files with mismatched schemas.
-const BenchSchema = "light-bench/2"
+const BenchSchema = "light-bench/3"
 
 // BenchHost describes the machine a benchmark report was produced on —
 // context for interpreting wall-clock numbers across runs.
@@ -43,7 +43,6 @@ type BenchRow struct {
 	Intersections uint64 `json:"intersections,omitempty"`
 	Galloping     uint64 `json:"galloping,omitempty"`
 	Elements      uint64 `json:"elements,omitempty"`
-	BitmapProbes  uint64 `json:"bitmap_probes,omitempty"`
 	// Slots is the worker-slot count the run held at admission —
 	// nonzero only for governed rows, where it is deterministic (an
 	// uncontended governor always grants the full request) and
@@ -103,10 +102,9 @@ func (r *BenchReport) computeFingerprint() string {
 		h.Write([]byte(s)) //lightvet:ignore hygiene -- fnv.Write cannot fail
 	}
 	for _, row := range r.Rows {
-		w(fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d|%d|%d|%d\n",
+		w(fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d|%d|%d\n",
 			row.key(), row.Mark, row.Matches, row.Nodes, row.Comps,
-			row.Intersections, row.Galloping, row.Elements, row.BitmapProbes,
-			row.Slots))
+			row.Intersections, row.Galloping, row.Elements, row.Slots))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -202,7 +200,6 @@ func CompareBench(baseline, fresh *BenchReport, wallTolerance float64, wallSlack
 			{"intersections", b.Intersections, row.Intersections},
 			{"galloping", b.Galloping, row.Galloping},
 			{"elements", b.Elements, row.Elements},
-			{"bitmap_probes", b.BitmapProbes, row.BitmapProbes},
 			{"slots", b.Slots, row.Slots},
 		}
 		for _, cc := range counters {

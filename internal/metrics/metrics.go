@@ -50,9 +50,6 @@ const (
 	// pairwise intersections (len(a)+len(b) per operation) — the
 	// element-throughput base.
 	IntersectElements
-	// IntersectBitmapProbes counts elements probed against hub bitmaps
-	// by the bitmap kernels (each probe replaces a gallop step).
-	IntersectBitmapProbes
 	// ParallelDonations counts frames pushed to the global queue.
 	ParallelDonations
 	// ParallelSteals counts frames executed by a worker other than the
@@ -114,7 +111,6 @@ var idNames = [NumIDs]string{
 	IntersectGalloping:     "intersect.galloping",
 	IntersectMerge:         "intersect.merge",
 	IntersectElements:      "intersect.elements",
-	IntersectBitmapProbes:  "intersect.bitmap_probes",
 	ParallelDonations:      "parallel.donations",
 	ParallelSteals:         "parallel.steals",
 	ParallelRootChunks:     "parallel.root_chunks",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -23,8 +24,7 @@ const maxRequestBytes = 8 << 20
 type QueryOptions struct {
 	// Algorithm is SE, LM, MSC, or LIGHT.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Kernel is Merge, MergeBlock, Galloping, Hybrid, HybridBlock,
-	// MergeBitmap, or HybridBitmap.
+	// Kernel is Merge, MergeBlock, Galloping, Hybrid, or HybridBlock.
 	Kernel string `json:"kernel,omitempty"`
 	// Workers is the worker-pool request; the governor may grant fewer
 	// under load.
@@ -32,9 +32,6 @@ type QueryOptions struct {
 	// TailCount enables the count-only leaf shortcut (rejected by
 	// /enumerate and /batch).
 	TailCount bool `json:"tail_count,omitempty"`
-	// HubDegreeThreshold prepares the graph's hub index with this τ
-	// (first-wins across concurrent queries; see light.Options).
-	HubDegreeThreshold int `json:"hub_degree_threshold,omitempty"`
 	// MemoryBudgetBytes caps this query's candidate-arena bytes,
 	// nesting under the server-wide budget.
 	MemoryBudgetBytes int64 `json:"memory_budget_bytes,omitempty"`
@@ -87,12 +84,17 @@ type QueryResponse struct {
 	Report *light.RunReport `json:"report,omitempty"`
 }
 
-// decodeRequest parses the JSON body into v.
+// decodeRequest parses the JSON body into v. The body must hold exactly
+// one JSON object: unknown fields and anything but whitespace after the
+// object are errors.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: unexpected data after the JSON object")
 	}
 	return nil
 }
@@ -143,10 +145,6 @@ func parseKernel(name string) (light.Intersection, error) {
 		return light.Galloping, nil
 	case "Hybrid":
 		return light.Hybrid, nil
-	case "MergeBitmap":
-		return light.MergeBitmap, nil
-	case "HybridBitmap":
-		return light.HybridBitmap, nil
 	}
 	return 0, fmt.Errorf("unknown kernel %q", name)
 }
@@ -165,21 +163,20 @@ func (s *Server) buildOptions(qo QueryOptions) (light.Options, string, error) {
 	if err != nil {
 		return light.Options{}, "", err
 	}
-	if qo.Workers < 0 || qo.HubDegreeThreshold < 0 || qo.MemoryBudgetBytes < 0 || qo.TimeoutMS < 0 {
+	if qo.Workers < 0 || qo.MemoryBudgetBytes < 0 || qo.TimeoutMS < 0 {
 		return light.Options{}, "", errors.New("options must be non-negative")
 	}
 	opts := light.Options{
-		Algorithm:          algo,
-		Intersection:       kern,
-		Workers:            qo.Workers,
-		TailCount:          qo.TailCount,
-		HubDegreeThreshold: qo.HubDegreeThreshold,
-		MemoryBudget:       qo.MemoryBudgetBytes,
-		Governor:           s.gov,
-		AdmissionTimeout:   s.cfg.AdmissionTimeout,
+		Algorithm:        algo,
+		Intersection:     kern,
+		Workers:          qo.Workers,
+		TailCount:        qo.TailCount,
+		MemoryBudget:     qo.MemoryBudgetBytes,
+		Governor:         s.gov,
+		AdmissionTimeout: s.cfg.AdmissionTimeout,
 	}
-	key := fmt.Sprintf("algo=%s;kern=%s;tail=%t;tau=%d;mem=%d",
-		algo, kern, qo.TailCount, qo.HubDegreeThreshold, qo.MemoryBudgetBytes)
+	key := fmt.Sprintf("algo=%s;kern=%s;tail=%t;mem=%d",
+		algo, kern, qo.TailCount, qo.MemoryBudgetBytes)
 	return opts, key, nil
 }
 

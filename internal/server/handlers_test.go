@@ -40,19 +40,21 @@ func testServer(t *testing.T, cfg Config) (*Server, *light.Graph, uint64) {
 }
 
 // do posts body (marshalled to JSON) to path and returns the recorder.
+// A []byte body is sent verbatim, so tests can send malformed JSON.
 func do(t *testing.T, s *Server, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
-	var rd *bytes.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+	var b []byte
+	switch v := body.(type) {
+	case nil:
+	case []byte:
+		b = v
+	default:
+		var err error
+		if b, err = json.Marshal(body); err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req := httptest.NewRequest(method, path, rd)
+	req := httptest.NewRequest(method, path, bytes.NewReader(b))
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
 	return w
@@ -182,8 +184,11 @@ func TestQueryRequestErrors(t *testing.T) {
 			Options: QueryOptions{Algorithm: "QUANTUM"}}, http.StatusBadRequest},
 		{"bad kernel", queryRequest{Graph: "g", Pattern: "triangle",
 			Options: QueryOptions{Kernel: "Quicksort"}}, http.StatusBadRequest},
-		{"negative tau", queryRequest{Graph: "g", Pattern: "triangle",
-			Options: QueryOptions{HubDegreeThreshold: -1}}, http.StatusBadRequest},
+		{"removed bitmap kernel", queryRequest{Graph: "g", Pattern: "triangle",
+			Options: QueryOptions{Kernel: "HybridBitmap"}}, http.StatusBadRequest},
+		{"removed hub degree threshold", []byte(`{"graph":"g","pattern":"triangle","options":{"hub_degree_threshold":3}}`), http.StatusBadRequest},
+		{"trailing data", []byte(`{"graph":"g","pattern":"triangle"} {"x":1}`), http.StatusBadRequest},
+		{"trailing newline", []byte(`{"graph":"g","pattern":"triangle"}` + "\n"), http.StatusOK},
 		{"both patterns", queryRequest{Graph: "g", Pattern: "triangle",
 			PatternGraph: &patternSpec{N: 3, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}}, http.StatusBadRequest},
 	}

@@ -31,8 +31,6 @@ type GraphInfo struct {
 	MaxDegree int   `json:"max_degree"`
 	// MemoryBytes is the CSR footprint.
 	MemoryBytes int64 `json:"memory_bytes"`
-	// Hubs is the number of bitmap-indexed hub vertices.
-	Hubs int `json:"hubs"`
 	// LoadedAt is when this name was registered.
 	LoadedAt time.Time `json:"loaded_at"`
 }
@@ -133,7 +131,7 @@ func (r *Registry) register(name, path string, g *light.Graph) (GraphInfo, error
 	}
 	// Load-once: reuse an existing snapshot with the same fingerprint,
 	// so N names for one graph cost one CSR in memory (and share one
-	// hub index and plan-stats cache).
+	// plan-stats cache).
 	for _, e := range r.byName {
 		if e.g.Fingerprint() == fp {
 			g = e.g
@@ -150,7 +148,6 @@ func (r *Registry) register(name, path string, g *light.Graph) (GraphInfo, error
 			Edges:       g.NumEdges(),
 			MaxDegree:   g.MaxDegree(),
 			MemoryBytes: g.MemoryBytes(),
-			Hubs:        g.NumHubs(),
 			LoadedAt:    time.Now().UTC(),
 		},
 	}
@@ -210,7 +207,6 @@ func (r *Registry) RefreshInfo(g *light.Graph) []GraphInfo {
 		e.info.Edges = g.NumEdges()
 		e.info.MaxDegree = g.MaxDegree()
 		e.info.MemoryBytes = g.MemoryBytes()
-		e.info.Hubs = g.NumHubs()
 		out = append(out, e.info)
 	}
 	return out

@@ -1,9 +1,9 @@
 // Server-shaped soak: many client goroutines firing mixed /query,
 // /batch, and /enumerate requests over real HTTP at one Server — one
 // registry graph, one governor, one result cache — all under -race.
-// Every response must carry the exact sequential count, conflicting
-// hub-τ requests must resolve first-wins without a data race, and the
-// process must settle back to its starting goroutine count.
+// Every response must carry the exact sequential count, clashing
+// kernel and worker options must not race, and the process must settle
+// back to its starting goroutine count.
 package server
 
 import (
@@ -98,7 +98,7 @@ func postJSON(client *http.Client, url string, body, out any) (int, error) {
 
 // TestServerSoakMixedTraffic is the lightd acceptance soak: 12 client
 // goroutines, each issuing a mix of count, batch, and enumerate
-// requests with clashing hub-τ and worker options, against one
+// requests with clashing kernel and worker options, against one
 // registered graph and a 4-slot governor. Exact counts, no races, no
 // leaked goroutines, zero server-side errors.
 func TestServerSoakMixedTraffic(t *testing.T) {
@@ -130,12 +130,10 @@ func TestServerSoakMixedTraffic(t *testing.T) {
 				pi := (c + rnd) % len(names)
 				opts := QueryOptions{
 					Workers: 1 + c%3,
-					// Clashing τ requests from concurrent clients: the
-					// shared graph's hub index must build once,
-					// first-wins, with no data race.
-					HubDegreeThreshold: 3 + c%3,
-					Kernel:             "HybridBitmap",
-					NoCache:            c%4 == 0,
+					// Clashing kernels from concurrent clients on one
+					// shared graph and one result cache.
+					Kernel:  [...]string{"MergeBlock", "Galloping"}[c%2],
+					NoCache: c%4 == 0,
 				}
 				switch (c + rnd) % 3 {
 				case 0: // single count

@@ -22,7 +22,7 @@ import (
 //	u8  complete
 //	u64 matches, u64 nodes, u64 intersections, u64 galloping
 //	u64 elements, u64 comps       (version ≥ 2 only)
-//	u64 bitmapProbes              (version ≥ 3 only)
+//	u64 bitmapProbes              (version ≥ 3 only; written 0, ignored on read)
 //	u32 nLanes, then nLanes × lane    (version ≥ 3 only)
 //	u32 nDone,   then nDone × (u32 lo, u32 hi)
 //	u32 nFrames, then nFrames × frame
@@ -30,7 +30,7 @@ import (
 //
 // lane := u64 matches, u64 nodes, u64 comps,
 //
-//	u64 intersections, u64 galloping, u64 elements, u64 bitmapProbes
+//	u64 intersections, u64 galloping, u64 elements, u64 bitmapProbes (0)
 //
 // frame := u32 sigmaIdx, u32 matMask,
 //
@@ -153,7 +153,7 @@ func (c *Checkpoint) encode() []byte {
 	e.u64(c.Base.Stats.Galloping)
 	e.u64(c.Base.Stats.Elements)
 	e.u64(c.Base.Comps)
-	e.u64(c.Base.Stats.BitmapProbes)
+	e.u64(0) // bitmapProbes: unused, kept so the v3 layout stays readable
 	e.u32(uint32(len(c.Base.Lanes)))
 	for _, lc := range c.Base.Lanes {
 		e.u64(lc.Matches)
@@ -162,7 +162,7 @@ func (c *Checkpoint) encode() []byte {
 		e.u64(lc.Stats.Intersections)
 		e.u64(lc.Stats.Galloping)
 		e.u64(lc.Stats.Elements)
-		e.u64(lc.Stats.BitmapProbes)
+		e.u64(0) // bitmapProbes
 	}
 	e.u32(uint32(len(c.Done)))
 	for _, r := range c.Done {
@@ -342,7 +342,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		c.Base.Comps = d.u64("comps")
 	}
 	if version >= 3 {
-		c.Base.Stats.BitmapProbes = d.u64("bitmap probes")
+		d.u64("bitmap probes")
 		nLanes := d.count("lanes", 56)
 		if nLanes > 64 {
 			return nil, fmt.Errorf("supervise: corrupt checkpoint %s: %d lanes (max 64)", path, nLanes)
@@ -355,7 +355,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 			lc.Stats.Intersections = d.u64("lane intersections")
 			lc.Stats.Galloping = d.u64("lane galloping")
 			lc.Stats.Elements = d.u64("lane elements")
-			lc.Stats.BitmapProbes = d.u64("lane bitmap probes")
+			d.u64("lane bitmap probes")
 			c.Base.Lanes = append(c.Base.Lanes, lc)
 		}
 	}

@@ -2,6 +2,8 @@ package supervise
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,10 +25,10 @@ func sampleCheckpoint() *Checkpoint {
 			Matches: 123,
 			Nodes:   456,
 			Comps:   78,
-			Stats:   intersect.Stats{Intersections: 40, Galloping: 9, Elements: 8000, BitmapProbes: 11},
+			Stats:   intersect.Stats{Intersections: 40, Galloping: 9, Elements: 8000},
 			Lanes: []engine.LaneCounts{
-				{Matches: 100, Nodes: 300, Comps: 50, Stats: intersect.Stats{Intersections: 30, Galloping: 7, Elements: 6000, BitmapProbes: 5}},
-				{Matches: 23, Nodes: 156, Comps: 28, Stats: intersect.Stats{Intersections: 10, Galloping: 2, Elements: 2000, BitmapProbes: 6}},
+				{Matches: 100, Nodes: 300, Comps: 50, Stats: intersect.Stats{Intersections: 30, Galloping: 7, Elements: 6000}},
+				{Matches: 23, Nodes: 156, Comps: 28, Stats: intersect.Stats{Intersections: 10, Galloping: 2, Elements: 2000}},
 			},
 		},
 		Done: []RootRange{{Lo: 0, Hi: 10}, {Lo: 14, Hi: 30}},
@@ -194,6 +196,43 @@ func TestCheckpointRejectsTrailingGarbage(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
 		t.Fatal("grown checkpoint accepted")
+	}
+}
+
+// TestCheckpointIgnoresBitmapProbeWords pins the v3 layout: files
+// written while the bitmap kernels existed carry nonzero bitmapProbes
+// words (base and per lane), and they must still load, with every other
+// counter intact.
+func TestCheckpointIgnoresBitmapProbeWords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	ck := sampleCheckpoint()
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header (4+4+8+8+1) and six base counters put the base word at 73;
+	// the lane count follows it, and each lane's word is its seventh.
+	const baseWord = 4 + 4 + 8 + 8 + 1 + 6*8
+	const lane0Word = baseWord + 8 + 4 + 6*8
+	if got := binary.LittleEndian.Uint64(raw[baseWord:]); got != 0 {
+		t.Fatalf("base bitmapProbes word = %d, want 0", got)
+	}
+	binary.LittleEndian.PutUint64(raw[baseWord:], 11)
+	binary.LittleEndian.PutUint64(raw[lane0Word:], 5)
+	body := raw[:len(raw)-4]
+	binary.LittleEndian.PutUint32(raw[len(body):], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Base, ck.Base) {
+		t.Fatalf("base mismatch: %+v vs %+v", got.Base, ck.Base)
 	}
 }
 

@@ -58,8 +58,8 @@ func WithPatternLabels(p *Pattern, labels []Label) (*LabeledPattern, error) {
 // counted separately, as they should be.
 //
 // A labeled query runs through the same pipeline as Count, so it honours
-// Algorithm, Intersection, Workers, TimeLimit, Order,
-// HubDegreeThreshold, Governor, MemoryBudget and AdmissionTimeout, and
+// Algorithm, Intersection, Workers, TimeLimit, Order, Governor,
+// MemoryBudget and AdmissionTimeout, and
 // Filter narrows the label checks further. TailCount has no effect (the
 // label checks run on every leaf). The run always enumerates the
 // snapshot WithLabels bound, and checkpoints cannot record the labels,

@@ -198,10 +198,6 @@ func (g *Graph) MemoryBytes() int64 {
 // snapshot on first use; safe for concurrent callers.
 func (g *Graph) Fingerprint() uint64 { return g.snap().fingerprint() }
 
-// NumHubs returns how many vertices the current hub index holds
-// bitmaps for (0 when the index was dropped as not worthwhile).
-func (g *Graph) NumHubs() int { return g.snap().base.NumHubs() }
-
 // String summarizes the graph.
 func (g *Graph) String() string {
 	s := g.snap()
@@ -394,15 +390,6 @@ const (
 	Galloping
 	// Hybrid is Algorithm 4 with the scalar merge.
 	Hybrid
-	// MergeBitmap is the AVX2 block merge with hub-bitmap probing:
-	// intersections whose operands include a high-degree hub filter the
-	// smallest operand through the hub's bitmap (O(1) per element)
-	// instead of merging the lists. Falls back to MergeBlock when no
-	// operand is an indexed hub.
-	MergeBitmap
-	// HybridBitmap is HybridBlock with hub-bitmap probing — the fastest
-	// configuration on hub-dominated graphs.
-	HybridBitmap
 )
 
 // String returns the kernel name used in the paper's figures.
@@ -418,10 +405,6 @@ func (i Intersection) kind() intersect.Kind {
 		return intersect.KindGalloping
 	case Hybrid:
 		return intersect.KindHybrid
-	case MergeBitmap:
-		return intersect.KindMergeBitmap
-	case HybridBitmap:
-		return intersect.KindHybridBitmap
 	}
 	return intersect.KindHybridBlock
 }
@@ -429,9 +412,11 @@ func (i Intersection) kind() intersect.Kind {
 // Options configure Count and Enumerate. The zero value runs LIGHT with
 // the HybridBlock kernel on one worker.
 type Options struct {
-	// Algorithm defaults to LIGHT.
+	// Algorithm defaults to LIGHT. Values other than the declared
+	// constants are rejected.
 	Algorithm Algorithm
-	// Intersection defaults to HybridBlock.
+	// Intersection defaults to HybridBlock. Values other than the
+	// declared constants are rejected.
 	Intersection Intersection
 	// Workers is the size of the work-stealing worker pool (Section
 	// VII-B); 0 means one worker.
@@ -453,17 +438,6 @@ type Options struct {
 	// Order overrides the cost-based enumeration order with an explicit
 	// permutation of pattern vertices (advanced; must be connected).
 	Order []int
-	// HubDegreeThreshold tunes the graph's hub bitmap index, used by
-	// the bitmap intersection kernels: 0 keeps the auto-tuned index
-	// built at graph construction; a positive value prepares the index
-	// with that degree threshold τ. Preparation is safe under
-	// concurrent queries and first-wins per graph: the first query to
-	// request a τ builds the index once (atomically published, never
-	// partially visible), and every later query — same or conflicting
-	// τ — shares that build. τ only shifts the bitmap/list kernel
-	// trade-off, never the match set, so a lost race costs performance
-	// at most. Negative values are rejected by validation.
-	HubDegreeThreshold int
 	// CheckpointPath, when non-empty, periodically persists the run's
 	// committed state to this file (atomic temp-file+rename writes) so
 	// an interrupted run can be resumed with ResumeFrom.

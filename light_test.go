@@ -52,7 +52,7 @@ func TestAllKernelsAgree(t *testing.T) {
 	g := GenerateBarabasiAlbert(200, 5, 2)
 	p, _ := PatternByName("P2")
 	var want uint64
-	for i, k := range []Intersection{HybridBlock, Merge, MergeBlock, Galloping, Hybrid, MergeBitmap, HybridBitmap} {
+	for i, k := range []Intersection{HybridBlock, Merge, MergeBlock, Galloping, Hybrid} {
 		res, err := Count(g, p, Options{Intersection: k})
 		if err != nil {
 			t.Fatal(err)

@@ -44,8 +44,9 @@ type RunReport struct {
 	Merges uint64 `json:"merges"`
 	// Elements is the total input elements scanned across intersections.
 	Elements uint64 `json:"elements"`
-	// BitmapProbes is the number of elements probed against hub bitmaps
-	// (nonzero only for the bitmap kernels on graphs with indexed hubs).
+	// Deprecated: BitmapProbes counted probes of the removed hub-bitmap
+	// kernels. It is always 0 and is kept only so existing readers
+	// still compile.
 	BitmapProbes uint64 `json:"bitmap_probes,omitempty"`
 	// GallopingPercent is 100·Galloping/Intersections (Table III).
 	GallopingPercent float64 `json:"galloping_percent"`
@@ -130,7 +131,6 @@ func newRunReport(rec *metrics.Recorder, opts Options, workers int, d time.Durat
 		Galloping:     rec.Get(metrics.IntersectGalloping),
 		Merges:        rec.Get(metrics.IntersectMerge),
 		Elements:      rec.Get(metrics.IntersectElements),
-		BitmapProbes:  rec.Get(metrics.IntersectBitmapProbes),
 
 		Donations:   rec.Get(metrics.ParallelDonations),
 		Steals:      rec.Get(metrics.ParallelSteals),

@@ -47,8 +47,19 @@ echo "==> go test -race (parallel, engine, lanes, delta, metrics, admission, lab
 go test -race -timeout 10m "${SHORT[@]}" \
     ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/metrics/... ./internal/admission/... ./internal/labeled/... ./internal/server/...
 
-echo "==> go test -race shared-graph regressions (hub index, snapshot isolation, labeled pipeline contract)"
-go test -race -timeout 5m -run 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation|TestLabeledMemoryBudgetContract|TestLabeledReportMatchesFilteredCount|TestCountLabeledRejectsUnsupportedOptions' .
+echo "==> go test -race shared-graph regressions (snapshot isolation, labeled pipeline contract)"
+SHARED_TESTS=(TestSnapshotIsolation TestLabeledMemoryBudgetContract TestLabeledReportMatchesFilteredCount TestCountLabeledRejectsUnsupportedOptions)
+SHARED_RUN="^($(IFS='|'; echo "${SHARED_TESTS[*]}"))\$"
+# A renamed or deleted test would make -run match nothing and this step
+# pass without running it, so every listed name must exist.
+SHARED_LISTED=$(go test -list "$SHARED_RUN" .)
+for name in "${SHARED_TESTS[@]}"; do
+    if ! grep -qx "$name" <<<"$SHARED_LISTED"; then
+        echo "verify: FAIL — shared-graph test $name not found in package light" >&2
+        exit 1
+    fi
+done
+go test -race -timeout 5m -run "$SHARED_RUN" .
 
 echo "==> lightd smoke: boot the daemon, load a graph, count + enumerate + batch over HTTP"
 go run ./cmd/lightd -smoke
